@@ -5,7 +5,7 @@ floating-point rank checks."""
 from .numerics import Tolerance, DEFAULT_TOL
 from .region import (SigmaConfig, DofPoint, Constraint, enumerate_constraints,
                      check_point, check_point_bruteforce, mu0, max_sum_dof)
-from .channel import ChannelDraw, draw, expand, stack, compute_t
+from .channel import ChannelDraw, draw, apply, stack, compute_t
 from .precoder import (AlignmentPlan, PrecoderSet, select_sets, plan,
                        target_bar_dofs, exponent_tuples, build_p, assemble,
                        compute_t_set, message_ids)

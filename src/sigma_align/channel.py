@@ -1,9 +1,13 @@
 """Random time-varying channels, time expansion, and the diagonal T matrices.
 
 A draw holds one bounded scalar per (user, antenna, slot).  Time expansion
-turns each user's channel into a tall block-diagonal matrix; stacking the
-expanded channels of an alignment set gives the square system whose
-solution blocks are the diagonal T matrices the precoders are built from.
+turns each user's channel into a tall block-diagonal matrix H_tilde with
+one channel vector per slot.  This module keeps that structure slot-wise
+and never builds H_tilde: ``apply`` multiplies by it one slot at a time,
+the stack of an alignment set's expanded channels is a (mu_n, N_i, N_i)
+array of per-slot blocks, and each T matrix is its length-mu_n diagonal.
+Every product is elementwise numpy, so float64 and Fraction arrays take
+the same code path.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .errors import NotDiagonal, SingularStack, UnknownPath
+from .errors import (DimensionMismatch, SingularStack, SlotCapExceeded,
+                     UnknownPath)
 from .numerics import DEFAULT_TOL, Tolerance
 from .region import SigmaConfig
 
@@ -56,8 +61,9 @@ def _draw_block(rng, count, n_ant, mu_n, mode):
     # a value within one series.
     n_values = RATIONAL_NUM_HI - RATIONAL_NUM_LO + 1
     if mu_n > n_values:
-        raise ValueError(
-            f"rational mode supports at most {n_values} slots, got {mu_n}")
+        raise SlotCapExceeded(
+            f"rational mode supports at most {n_values} slots, "
+            f"got mu_n = {mu_n}")
     out = np.empty((count, n_ant, mu_n), dtype=object)
     for u in range(count):
         for a in range(n_ant):
@@ -101,78 +107,54 @@ def _series(draw: ChannelDraw, path):
     raise UnknownPath(f"no channel path {path!r}")
 
 
-def expand(draw: ChannelDraw, path) -> np.ndarray:
-    """Block-diagonal time expansion: (n_ant * mu_n) x mu_n.
+def apply(draw: ChannelDraw, path, v: np.ndarray) -> np.ndarray:
+    """H_tilde @ v for one user's time-expanded channel, built slot by slot.
 
-    Column t carries the slot-t channel vector in row block t; everything
-    else is zero.  Paths are ("a", j), ("b", i, j), ("c", j), 1-based.
+    H_tilde is (n_ant * mu_n) x mu_n and carries the slot-t channel vector
+    in row block t of column t, so row t * n_ant + a of the product is
+    h[a, t] * v[t, :].  Paths are ("a", j), ("b", i, j), ("c", j), 1-based.
     """
     h = _series(draw, path)
     n_ant, mu_n = h.shape
-    out = numerics.zeros_like_mode(draw.exact, n_ant * mu_n, mu_n)
-    for t in range(mu_n):
-        out[t * n_ant:(t + 1) * n_ant, t] = h[:, t]
-    return out
+    if v.shape[0] != mu_n:
+        raise DimensionMismatch(f"{mu_n} slots vs {v.shape[0]} rows")
+    return (h.T[:, :, None] * v[:, None, :]).reshape(n_ant * mu_n, v.shape[1])
 
 
-@dataclass
-class StackedChannel:
-    """Square stack of the expanded channels of one alignment set at BS i."""
+def stack(draw: ChannelDraw, i: int, s_set,
+          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Per-slot blocks of the stack [H_tilde(b, i, j) for j in s_set].
 
-    i: int
-    s_set: tuple[int, ...]
-    matrix: np.ndarray
-
-
-def stack(draw: ChannelDraw, i: int, s_set, tol: Tolerance = DEFAULT_TOL) -> StackedChannel:
-    """Horizontal stack [H_tilde(b, i, j) for j in s_set]; must be invertible."""
+    Returns a (mu_n, N_i, N_i) array whose block t holds, in column k, the
+    slot-t channel of the k-th set member at BS i.  Up to a column
+    permutation the dense stack is block-diagonal with these blocks, so it
+    is invertible exactly when every block is; otherwise SingularStack.
+    """
     n_i = draw.cfg.n1 if i == 1 else draw.cfg.n2
     s_set = tuple(s_set)
     if len(s_set) != n_i:
         raise ValueError(f"need exactly {n_i} set members, got {len(s_set)}")
-    m = np.hstack([expand(draw, ("b", i, j)) for j in s_set])
-    if numerics.rank(m, tol) != m.shape[0]:
+    blocks = np.stack([_series(draw, ("b", i, j)).T for j in s_set], axis=-1)
+    if numerics.rank(blocks, tol) != n_i * draw.mu_n:
         raise SingularStack(
             f"stacked channel at BS {i}, set {s_set}, seed {draw.seed}")
-    return StackedChannel(i=i, s_set=s_set, matrix=m)
+    return blocks
 
 
 def compute_t(draw: ChannelDraw, i: int, j: int, s_set,
               tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """The N_i diagonal matrices relating user j's channel to the stack at BS i.
+    """The N_i T diagonals relating user j's channel to the stack at BS i.
 
-    Solves stack(i, s_set) @ X = H_tilde(b, i, j) and splits X into N_i
-    vertical mu_n x mu_n blocks.  Each block must come out diagonal
-    (off-diagonal magnitude below col_match_tol in float mode, exactly
-    zero in exact mode); anything else indicates an indexing bug.
+    T_k is the length-mu_n diagonal with
+    H_tilde(b, i, j) = sum_k H_tilde(b, i, s_k) @ diag(T_k); slot t solves
+    stack(i, s_set)[t] @ x = h_j[:, t] and sets T_k[t] = x[k].
     """
     if j in s_set:
         raise ValueError(f"user {j} is in the alignment set {tuple(s_set)}")
-    stacked = stack(draw, i, s_set, tol)
-    target = expand(draw, ("b", i, j))
-    if draw.exact:
-        x = numerics.solve_exact(stacked.matrix, target)
-    else:
-        try:
-            x = np.linalg.solve(stacked.matrix, target)
-        except np.linalg.LinAlgError as e:
-            raise SingularStack(str(e)) from e
-    mu_n = draw.mu_n
-    n_i = len(s_set)
-    blocks = [x[k * mu_n:(k + 1) * mu_n, :] for k in range(n_i)]
-    for k, blk in enumerate(blocks):
-        off = blk.copy()
-        for t in range(mu_n):
-            off[t, t] = Fraction(0) if draw.exact else 0.0
-        if draw.exact:
-            bad = any(off[r, c] != 0 for r in range(mu_n) for c in range(mu_n))
-        else:
-            bad = np.max(np.abs(off)) >= tol.col_match_tol
-        if bad:
-            raise NotDiagonal(f"T block {k + 1} for BS {i}, user {j}")
-    return blocks
-
-
-def t_diagonal(t_mat: np.ndarray) -> np.ndarray:
-    """Diagonal of a T matrix as a 1-D array (mode preserved)."""
-    return np.diagonal(t_mat).copy()
+    blocks = stack(draw, i, s_set, tol)
+    target = _series(draw, ("b", i, j)).T[:, :, None]
+    try:
+        x = numerics.solve_blocks(blocks, target)
+    except np.linalg.LinAlgError as e:
+        raise SingularStack(str(e)) from e
+    return [x[:, k, 0] for k in range(len(s_set))]

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import precoder, region, verify
@@ -87,7 +86,6 @@ def load_config(path: str, args) -> dict:
         "mode": getattr(args, "mode", None) or raw.get("mode", "float"),
         "tol": tol,
         "subset_cap": int(raw.get("subset_cap", region.DEFAULT_SUBSET_CAP)),
-        "jobs": int(getattr(args, "jobs", None) or raw.get("jobs", 1)),
     }
 
 
@@ -159,16 +157,10 @@ def cmd_region_maxsum(args) -> int:
 
 
 def _run_trials(rc, n):
-    """Reports for all trials at one n, fanned out over jobs."""
-    def one(t):
-        return verify.run_experiment(rc["cfg"], rc["d"], n,
-                                     rc["seed"] + 1000 * t,
-                                     rc["mode"], rc["tol"])
-    trials = range(rc["trials"])
-    if rc["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=rc["jobs"]) as pool:
-            return list(pool.map(one, trials))
-    return [one(t) for t in trials]
+    """Reports for all trials at one n."""
+    return [verify.run_experiment(rc["cfg"], rc["d"], n,
+                                  rc["seed"] + 1000 * t, rc["mode"], rc["tol"])
+            for t in range(rc["trials"])]
 
 
 def cmd_ia_run(args) -> int:
@@ -259,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["float", "rational"])
         sp.add_argument("--tol-rank", type=float, dest="tol_rank")
         sp.add_argument("--tol-match", type=float, dest="tol_match")
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--n", type=int)
         sp.add_argument("--n-max", type=int, dest="n_max")
         sp.add_argument("--out")

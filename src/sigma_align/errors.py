@@ -25,8 +25,8 @@ class SingularStack(SigmaAlignError):
     """A stacked channel matrix was (numerically) singular."""
 
 
-class NotDiagonal(SigmaAlignError):
-    """A matrix expected to be diagonal had off-diagonal mass."""
+class SlotCapExceeded(SigmaAlignError, ValueError):
+    """Rational mode cannot draw a channel series this long."""
 
 
 class InfeasiblePoint(SigmaAlignError):

@@ -2,7 +2,9 @@
 
 Matrices are plain numpy arrays.  dtype float64 means float mode; dtype
 object means exact mode with ``fractions.Fraction`` entries.  The mode is
-uniform within a matrix and every predicate dispatches on it.
+uniform within a matrix and every predicate dispatches on it.  A stack of
+square blocks along a leading axis stands for the block-diagonal matrix
+they form; ``rank`` and ``solve_blocks`` work on it block by block.
 """
 
 from __future__ import annotations
@@ -65,15 +67,24 @@ def zeros_like_mode(exact: bool, nrows: int, ncols: int) -> np.ndarray:
 
 
 def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of a dense matrix: exact elimination or SVD depending on mode."""
+    """Rank of a dense matrix: exact elimination or SVD depending on mode.
+
+    An array with more than two axes stands for the block-diagonal matrix
+    whose blocks are its trailing two axes, and gets that matrix's rank:
+    the sum of the block ranks, with the float cutoff taken from the
+    largest singular value of any block and the full matrix's size.
+    """
     if m.size == 0:
         raise EmptyMatrix(f"rank of empty {m.shape} matrix")
+    rows, cols = m.shape[-2:]
     if is_exact(m):
-        return _rank_exact(m)
+        return sum(_rank_exact(b) for b in m.reshape(-1, rows, cols))
     s = np.linalg.svd(_equilibrated(m), compute_uv=False)
-    if s[0] == 0.0:
+    s_max = s.max()
+    if s_max == 0.0:
         return 0
-    cutoff = tol.rel_rank_tol * s[0] * max(m.shape)
+    n_blocks = m.size // (rows * cols)
+    cutoff = tol.rel_rank_tol * s_max * n_blocks * max(rows, cols)
     return int(np.sum(s > cutoff))
 
 
@@ -82,14 +93,16 @@ def _equilibrated(m: np.ndarray) -> np.ndarray:
 
     Monomial-structured columns differ in scale by many orders of
     magnitude, which would otherwise push genuine directions below the
-    relative singular-value cutoff.
+    relative singular-value cutoff.  Rows and columns are those of the
+    trailing two axes, so a stack of blocks is scaled exactly as the
+    block-diagonal matrix it stands for.
     """
     out = np.array(m, dtype=float)
     for _ in range(5):
-        rs = np.max(np.abs(out), axis=1, keepdims=True)
+        rs = np.max(np.abs(out), axis=-1, keepdims=True)
         rs[rs == 0.0] = 1.0
         out /= rs
-        cs = np.max(np.abs(out), axis=0, keepdims=True)
+        cs = np.max(np.abs(out), axis=-2, keepdims=True)
         cs[cs == 0.0] = 1.0
         out /= cs
     return out
@@ -180,46 +193,39 @@ def _rank_exact(m: np.ndarray) -> int:
     return piv_r
 
 
-def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b exactly for square exact-mode ``a``.
+def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a[t] @ x[t] = b[t] for every block t, in either mode.
 
-    Gauss-Jordan over Fractions; zero multipliers are skipped so the
-    block-diagonal systems built elsewhere stay cheap.  Raises
-    numpy.linalg.LinAlgError on a singular system, mirroring
+    ``a`` is (blocks, n, n) and ``b`` is (blocks, n, k).  LU elimination
+    with partial pivoting, then back substitution, runs on all blocks at
+    once.  Every step is elementwise numpy, so float64 and Fraction arrays
+    take the same path and exact mode stays exact.  As in LAPACK's
+    getrf/getrs, each division multiplies by the pivot's reciprocal, which
+    keeps float results on the rounding of numpy.linalg.solve.  Raises
+    numpy.linalg.LinAlgError on a singular block, mirroring
     numpy.linalg.solve.
     """
-    n = a.shape[0]
-    if a.shape[1] != n or b.shape[0] != n:
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape[:2] != a.shape[:2]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    ncols = b.shape[1]
-    aug = [[a[i, j] for j in range(n)] + [b[i, j] for j in range(ncols)]
-           for i in range(n)]
-    width = n + ncols
+    a, b = a.copy(), b.copy()
+    n = a.shape[1]
+    blocks = np.arange(a.shape[0])
+    inv_pivots = []
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise np.linalg.LinAlgError("singular exact system")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        if piv != 1:
-            aug[col] = [x / piv for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f == 0:
-                continue
-            aug[r] = [aug[r][c] - f * prow[c] for c in range(width)]
-    out = np.empty((n, ncols), dtype=object)
-    for i in range(n):
-        for j in range(ncols):
-            out[i, j] = aug[i][n + j]
-    return out
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        for m in (a, b):
+            m[blocks, col], m[blocks, piv] = m[blocks, piv], m[blocks, col]
+        p = a[:, col, col]
+        if np.any(p == 0):
+            raise np.linalg.LinAlgError("singular block")
+        inv_pivots.append(1 / p)
+        lower = a[:, col + 1:, col, None] * inv_pivots[col][:, None, None]
+        a[:, col + 1:, col + 1:] -= lower * a[:, None, col, col + 1:]
+        b[:, col + 1:] -= lower * b[:, None, col]
+    for col in reversed(range(n)):
+        b[:, col] *= inv_pivots[col][:, None]
+        b[:, :col] -= a[:, :col, col, None] * b[:, None, col]
+    return b
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

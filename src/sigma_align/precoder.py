@@ -87,12 +87,6 @@ class PrecoderSet:
     q: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _largest_k_set(values, k) -> tuple[int, ...]:
-    """1-based indices of the k largest entries, ties toward smaller index."""
-    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
-    return tuple(sorted(j + 1 for j in order[:k]))
-
-
 def _delta(values, s_set) -> int:
     lo = min(values[j - 1] for j in s_set)
     return min(j for j in s_set if values[j - 1] == lo)
@@ -109,8 +103,10 @@ def select_sets(cfg: SigmaConfig, d: DofPoint):
         raise InfeasiblePoint("DoF point outside the region")
     need1 = cfg.lb > cfg.n1
     need2 = cfg.lb > cfg.n2
-    s2 = _largest_k_set(d.db2, cfg.n1) if need1 else ()
-    s1 = _largest_k_set(d.db1, cfg.n2) if need2 else ()
+    s2 = tuple(j + 1 for j in region._top_k_subset(d.db2, cfg.n1)) \
+        if need1 else ()
+    s1 = tuple(j + 1 for j in region._top_k_subset(d.db1, cfg.n2)) \
+        if need2 else ()
     delta2 = _delta(d.db2, s2) if s2 else None
     delta1 = _delta(d.db1, s1) if s1 else None
     return s1, s2, delta1, delta2, need1, need2
@@ -215,7 +211,7 @@ def _random_full_rank(rng, mu_n, ncols, exact, tol, what):
 
 @dataclass
 class TSet:
-    """T matrices per side, keyed by (l, j): 1-based pair index and user."""
+    """T diagonals per side, keyed by (l, j): 1-based pair index and user."""
 
     # bs1[(l, j)]: T_l for user j not in s2, used for alignment at BS 1
     bs1: dict[tuple[int, int], np.ndarray]
@@ -228,7 +224,7 @@ class TSet:
 
 def compute_t_set(draw: channel_mod.ChannelDraw, pl: AlignmentPlan,
                   tol: Tolerance = DEFAULT_TOL) -> TSet:
-    """All T matrices needed by the construction (may be empty per side)."""
+    """All T diagonals needed by the construction (may be empty per side)."""
     bs1, bs2 = {}, {}
     if pl.need_align_bs1:
         for j in range(1, pl.cfg.lb + 1):
@@ -269,13 +265,13 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     # Structured matrices.  p21/p22 are built from the BS-1 T matrices
     # (they shape the interference seen at BS 1), and vice versa.
     if pl.need_align_bs2:   # s1 exists; p11/p12 built from BS-2 pairs
-        diags = [channel_mod.t_diagonal(t_set.bs2[p]) for p in t_set.pairs(2)]
+        diags = [t_set.bs2[p] for p in t_set.pairs(2)]
         ps.tuples11 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "wide")
         ps.tuples12 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "narrow")
         ps.p11 = build_p(diags, ps.tuples11, pl.mu_n, exact)
         ps.p12 = build_p(diags, ps.tuples12, pl.mu_n, exact)
     if pl.need_align_bs1:   # s2 exists; p21/p22 built from BS-1 pairs
-        diags = [channel_mod.t_diagonal(t_set.bs1[p]) for p in t_set.pairs(1)]
+        diags = [t_set.bs1[p] for p in t_set.pairs(1)]
         ps.tuples21 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
         ps.tuples22 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "narrow")
         ps.p21 = build_p(diags, ps.tuples21, pl.mu_n, exact)

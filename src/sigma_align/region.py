@@ -121,6 +121,37 @@ def _offsets(cfg: SigmaConfig):
     return 0, cfg.la, cfg.la + cfg.lb, cfg.la + 2 * cfg.lb
 
 
+def _unit_bounds(cfg: SigmaConfig) -> list[tuple[list[int], str]]:
+    """(indices, label) of each bound "sum <= 1": single messages of
+    groups A and C, and the message pair of each group-B user."""
+    oa, ob1, ob2, oc = _offsets(cfg)
+    return ([([oa + j], f"single:a{j + 1}<=1") for j in range(cfg.la)]
+            + [([ob1 + j, ob2 + j], f"pair:b{j + 1}<=1")
+               for j in range(cfg.lb)]
+            + [([oc + j], f"single:c{j + 1}<=1") for j in range(cfg.lc)])
+
+
+def _mac_families(cfg: SigmaConfig):
+    """(bs, n_own, own_idxs, cross_offset) for each BS's MAC-cut family.
+
+    BS 1 hears groups A and B->1 as its own messages and B->2 as cross
+    messages; BS 2 mirrors it with C, B->2 and B->1.
+    """
+    oa, ob1, ob2, oc = _offsets(cfg)
+    own1 = [oa + j for j in range(cfg.la)] + [ob1 + j for j in range(cfg.lb)]
+    own2 = [oc + j for j in range(cfg.lc)] + [ob2 + j for j in range(cfg.lb)]
+    return [(1, cfg.n1, own1, ob2), (2, cfg.n2, own2, ob1)]
+
+
+def _mac_constraint(cfg: SigmaConfig, bs: int, n_own: int, own_idxs,
+                    cross_offset: int, subset) -> Constraint:
+    """The MAC cut at one BS: own messages plus the cross messages of the
+    0-based shared-group subset J, bounded by the BS's antenna count."""
+    idxs = own_idxs + [cross_offset + j for j in subset]
+    label = "mac:bs%d:J={%s}" % (bs, ",".join(str(j + 1) for j in subset))
+    return Constraint(_unit_coeffs(cfg, idxs), Fraction(n_own), label)
+
+
 def enumerate_constraints(cfg: SigmaConfig,
                           cap: int = DEFAULT_SUBSET_CAP) -> list[Constraint]:
     """The complete finite inequality list defining the region.
@@ -130,36 +161,18 @@ def enumerate_constraints(cfg: SigmaConfig,
     |J| <= min(N_i, lb) contributes one multiple-access cut (the empty
     subset included).
     """
-    oa, ob1, ob2, oc = _offsets(cfg)
-    out = []
-    for j in range(cfg.la):
-        out.append(Constraint(_unit_coeffs(cfg, [oa + j]), Fraction(1),
-                              f"single:a{j + 1}<=1"))
-    for j in range(cfg.lb):
-        out.append(Constraint(_unit_coeffs(cfg, [ob1 + j, ob2 + j]),
-                              Fraction(1), f"pair:b{j + 1}<=1"))
-    for j in range(cfg.lc):
-        out.append(Constraint(_unit_coeffs(cfg, [oc + j]), Fraction(1),
-                              f"single:c{j + 1}<=1"))
-
-    def family(n_own, own_idxs, cross_offset, bs_label):
+    out = [Constraint(_unit_coeffs(cfg, idxs), Fraction(1), label)
+           for idxs, label in _unit_bounds(cfg)]
+    for bs, n_own, own_idxs, cross_offset in _mac_families(cfg):
         k_max = min(n_own, cfg.lb)
         n_subsets = sum(math.comb(cfg.lb, k) for k in range(k_max + 1))
         if n_subsets > cap:
             raise SubsetExplosion(
-                f"{n_subsets} subsets for BS {bs_label} exceeds cap {cap}")
+                f"{n_subsets} subsets for BS {bs} exceeds cap {cap}")
         for k in range(k_max + 1):
             for subset in itertools.combinations(range(cfg.lb), k):
-                idxs = own_idxs + [cross_offset + j for j in subset]
-                label = ("mac:bs%s:J={%s}" %
-                         (bs_label, ",".join(str(j + 1) for j in subset)))
-                bound = Fraction(cfg.n1 if bs_label == "1" else cfg.n2)
-                out.append(Constraint(_unit_coeffs(cfg, idxs), bound, label))
-
-    own1 = [oa + j for j in range(cfg.la)] + [ob1 + j for j in range(cfg.lb)]
-    own2 = [oc + j for j in range(cfg.lc)] + [ob2 + j for j in range(cfg.lb)]
-    family(cfg.n1, own1, ob2, "1")
-    family(cfg.n2, own2, ob1, "2")
+                out.append(_mac_constraint(cfg, bs, n_own, own_idxs,
+                                           cross_offset, subset))
     return out
 
 
@@ -183,35 +196,18 @@ def check_point(cfg: SigmaConfig, d: DofPoint) -> CheckResult:
     """
     if not d.matches(cfg):
         raise DimensionMismatch("DoF point does not match config shape")
-    violated = []
-    oa, ob1, ob2, oc = _offsets(cfg)
-    for j in range(cfg.la):
-        if d.da[j] > 1:
-            violated.append(Constraint(_unit_coeffs(cfg, [oa + j]),
-                                       Fraction(1), f"single:a{j + 1}<=1"))
-    for j in range(cfg.lb):
-        if d.db1[j] + d.db2[j] > 1:
-            violated.append(Constraint(_unit_coeffs(cfg, [ob1 + j, ob2 + j]),
-                                       Fraction(1), f"pair:b{j + 1}<=1"))
-    for j in range(cfg.lc):
-        if d.dc[j] > 1:
-            violated.append(Constraint(_unit_coeffs(cfg, [oc + j]),
-                                       Fraction(1), f"single:c{j + 1}<=1"))
-
-    def mac(own_sum, cross, n_own, cross_offset, own_idxs, bs_label):
+    vec = d.as_vector()
+    violated = [Constraint(_unit_coeffs(cfg, idxs), Fraction(1), label)
+                for idxs, label in _unit_bounds(cfg)
+                if sum(vec[j] for j in idxs) > 1]
+    for bs, n_own, own_idxs, cross_offset in _mac_families(cfg):
+        cross = vec[cross_offset:cross_offset + cfg.lb]
         k = min(n_own, cfg.lb)
+        own_sum = sum((vec[j] for j in own_idxs), Fraction(0))
         if own_sum + _top_k_sum(cross, k) > n_own:
-            subset = _top_k_subset(cross, k)
-            idxs = own_idxs + [cross_offset + j for j in subset]
-            label = ("mac:bs%s:J={%s}" %
-                     (bs_label, ",".join(str(j + 1) for j in subset)))
-            violated.append(Constraint(_unit_coeffs(cfg, idxs),
-                                       Fraction(n_own), label))
-
-    own1 = [oa + j for j in range(cfg.la)] + [ob1 + j for j in range(cfg.lb)]
-    own2 = [oc + j for j in range(cfg.lc)] + [ob2 + j for j in range(cfg.lb)]
-    mac(sum(d.da + d.db1, Fraction(0)), d.db2, cfg.n1, ob2, own1, "1")
-    mac(sum(d.dc + d.db2, Fraction(0)), d.db1, cfg.n2, ob1, own2, "2")
+            violated.append(_mac_constraint(cfg, bs, n_own, own_idxs,
+                                            cross_offset,
+                                            _top_k_subset(cross, k)))
     return CheckResult(feasible=not violated, violated=violated)
 
 

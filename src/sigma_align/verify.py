@@ -81,23 +81,19 @@ def check_alignment(ps: PrecoderSet, t_set: TSet,
                     tol: Tolerance = DEFAULT_TOL) -> dict:
     """Verify every alignment constraint, in both span and column form.
 
-    For each T matrix at BS 1, T times the narrow structured matrix must
-    land inside (and, column by column, literally within) the wide one;
-    mirrored at BS 2.  Vacuously true when no side aligns.
+    For each T diagonal at BS 1, diag(T) times the narrow structured
+    matrix must land inside (and, column by column, literally within) the
+    wide one; mirrored at BS 2.  Vacuously true when no side aligns.
     """
     span_ok, subset_ok, checked = True, True, 0
-    for (l, j) in t_set.pairs(1):
-        t = t_set.bs1[(l, j)]
-        moved = numerics.matmul(t, ps.p22)
-        span_ok = span_ok and numerics.subspace_contains(moved, ps.p21, tol)
-        subset_ok = subset_ok and numerics.columns_subset_of(moved, ps.p21, tol)
-        checked += 1
-    for (l, j) in t_set.pairs(2):
-        t = t_set.bs2[(l, j)]
-        moved = numerics.matmul(t, ps.p12)
-        span_ok = span_ok and numerics.subspace_contains(moved, ps.p11, tol)
-        subset_ok = subset_ok and numerics.columns_subset_of(moved, ps.p11, tol)
-        checked += 1
+    for t_side, narrow, wide in ((t_set.bs1, ps.p22, ps.p21),
+                                 (t_set.bs2, ps.p12, ps.p11)):
+        for t in t_side.values():
+            moved = t[:, None] * narrow
+            span_ok = span_ok and numerics.subspace_contains(moved, wide, tol)
+            subset_ok = subset_ok and numerics.columns_subset_of(moved, wide,
+                                                                 tol)
+            checked += 1
     return {"alignment_ok": span_ok, "column_subset_ok": subset_ok,
             "checked": checked}
 
@@ -114,74 +110,55 @@ def check_pairwise(ps: PrecoderSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return True
 
 
-def _hcat(parts, nrows, exact):
-    parts = [p for p in parts if p.shape[1] > 0]
-    if not parts:
-        return numerics.zeros_like_mode(exact, nrows, 0)
-    return np.hstack(parts)
-
-
-def _block_diag(blocks, exact):
-    nrows = sum(b.shape[0] for b in blocks)
-    ncols = sum(b.shape[1] for b in blocks)
-    out = numerics.zeros_like_mode(exact, nrows, ncols)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+def _hcat(parts, nrows, dtype):
+    return np.hstack(parts) if parts else np.empty((nrows, 0), dtype=dtype)
 
 
 def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
-                 pl: AlignmentPlan, tol: Tolerance = DEFAULT_TOL) -> LambdaParts:
+                 pl: AlignmentPlan) -> LambdaParts:
     """Assemble the signal-plus-interference matrix at BS i.
 
     Signal blocks are each desired message's expanded channel times its
-    beamformer.  With alignment on, the interference block is the square
-    channel stack applied to the block-diagonal random tails and to N_i
-    copies of the wide structured matrix; with alignment off it is the
-    plain cross-message columns.
+    beamformer.  With alignment on, the interference block is each set
+    member's expanded channel applied to its random tail (all members but
+    the anchor, which is last), then to the wide structured matrix; this
+    is the square channel stack applied to the block-diagonal tails and to
+    N_i copies of the wide matrix.  With alignment off it is the plain
+    cross-message columns.
     """
     cfg = pl.cfg
-    exact = draw.exact
+    dtype = draw.h_a.dtype
     n_i = cfg.n1 if i == 1 else cfg.n2
     nrows = n_i * pl.mu_n
     if i == 1:
-        own = [numerics.matmul(channel_mod.expand(draw, ("a", j)),
-                               ps.v[f"a{j}"]) for j in range(1, cfg.la + 1)]
-        bsig = [numerics.matmul(channel_mod.expand(draw, ("b", 1, j)),
-                                ps.v[f"b1_{j}"]) for j in range(1, cfg.lb + 1)]
+        own = [channel_mod.apply(draw, ("a", j), ps.v[f"a{j}"])
+               for j in range(1, cfg.la + 1)]
         aligned, p_shared, cross_label = pl.need_align_bs1, ps.p21, "b2"
     else:
-        own = [numerics.matmul(channel_mod.expand(draw, ("c", j)),
-                               ps.v[f"c{j}"]) for j in range(1, cfg.lc + 1)]
-        bsig = [numerics.matmul(channel_mod.expand(draw, ("b", 2, j)),
-                                ps.v[f"b2_{j}"]) for j in range(1, cfg.lb + 1)]
+        own = [channel_mod.apply(draw, ("c", j), ps.v[f"c{j}"])
+               for j in range(1, cfg.lc + 1)]
         aligned, p_shared, cross_label = pl.need_align_bs2, ps.p11, "b1"
+    bsig = [channel_mod.apply(draw, ("b", i, j), ps.v[f"b{i}_{j}"])
+            for j in range(1, cfg.lb + 1)]
 
-    a_block = _hcat(own, nrows, exact)
-    b_block = _hcat(bsig, nrows, exact)
+    a_block = _hcat(own, nrows, dtype)
+    b_block = _hcat(bsig, nrows, dtype)
 
     if aligned:
         beta = pl.beta(3 - i)
-        h_sq = channel_mod.stack(draw, i, beta, tol).matrix
-        q_blocks = [ps.q[f"{cross_label}_{j}"] for j in beta[:-1]]
-        q_diag = _block_diag(q_blocks, exact) if q_blocks else \
-            numerics.zeros_like_mode(exact, 0, 0)
-        # pad with a zero row block so the stack matches h_sq's width
-        q_full = numerics.zeros_like_mode(exact, nrows, q_diag.shape[1])
-        q_full[:q_diag.shape[0], :] = q_diag
-        p_full = _block_diag([p_shared] * n_i, exact)
-        c_block = _hcat([numerics.matmul(h_sq, q_full),
-                         numerics.matmul(h_sq, p_full)], nrows, exact)
+        tails = [channel_mod.apply(draw, ("b", i, j),
+                                   ps.q[f"{cross_label}_{j}"])
+                 for j in beta[:-1]]
+        shared = [channel_mod.apply(draw, ("b", i, j), p_shared)
+                  for j in beta]
+        c_block = _hcat(tails + shared, nrows, dtype)
     else:
-        cross = [numerics.matmul(channel_mod.expand(draw, ("b", i, j)),
-                                 ps.v[f"{cross_label}_{j}"])
+        cross = [channel_mod.apply(draw, ("b", i, j),
+                                   ps.v[f"{cross_label}_{j}"])
                  for j in range(1, cfg.lb + 1)]
-        c_block = _hcat(cross, nrows, exact)
+        c_block = _hcat(cross, nrows, dtype)
 
-    assembled = _hcat([a_block, b_block, c_block], nrows, exact)
+    assembled = _hcat([a_block, b_block, c_block], nrows, dtype)
     if assembled.shape[1] > nrows:
         raise TallnessViolated(
             f"BS {i}: {assembled.shape[1]} columns > {nrows} rows")
@@ -334,8 +311,8 @@ def run_experiment(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
 
     align = check_alignment(ps, t_set, tol)
     pairwise_ok = check_pairwise(ps, tol)
-    l1 = check_lambda(build_lambda(1, draw, ps, pl, tol), tol)
-    l2 = check_lambda(build_lambda(2, draw, ps, pl, tol), tol)
+    l1 = check_lambda(build_lambda(1, draw, ps, pl), tol)
+    l2 = check_lambda(build_lambda(2, draw, ps, pl), tol)
     acc = achieved_dof(pl, ps, d)
     passed = (align["alignment_ok"] and pairwise_ok
               and l1["full"] and l2["full"])

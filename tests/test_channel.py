@@ -2,11 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigma_align import channel, numerics
-from sigma_align.channel import compute_t, draw, expand, stack, t_diagonal
-from sigma_align.errors import UnknownPath
+from sigma_align import numerics
+from sigma_align.channel import apply, compute_t, draw, stack
+from sigma_align.errors import SingularStack, SlotCapExceeded, UnknownPath
 from sigma_align.region import SigmaConfig
+
+
+def in_mode(exact, ints):
+    return numerics.exact_matrix(ints) if exact else np.asarray(ints, float)
+
+
+def dense_expansion(d, path):
+    """H_tilde as the dense (n_ant * mu_n) x mu_n block-diagonal matrix."""
+    return apply(d, path, in_mode(d.exact, np.eye(d.mu_n, dtype=int)))
 
 
 def test_draw_deterministic(s1_cfg):
@@ -45,11 +56,15 @@ def test_draw_rational_values(s1_cfg):
 def test_draw_rational_slot_cap(s1_cfg):
     with pytest.raises(ValueError):
         draw(s1_cfg, 98, seed=0, mode="rational")
+    with pytest.raises(SlotCapExceeded, match="97 slots.*mu_n = 98"):
+        draw(s1_cfg, 98, seed=0, mode="rational")
 
 
+# The expanded channel H_tilde is only ever applied, never built; the
+# expand tests read it back as apply(d, path, I).
 def test_expand_single_slot(s1_cfg):
     d = draw(s1_cfg, 1, seed=2)
-    m = expand(d, ("b", 1, 1))
+    m = dense_expansion(d, ("b", 1, 1))
     assert m.shape == (1, 1)
     assert m[0, 0] == d.h_b1[0, 0, 0]
 
@@ -57,61 +72,117 @@ def test_expand_single_slot(s1_cfg):
 def test_expand_block_structure():
     cfg = SigmaConfig(2, 1, 1, 0, 0)
     d = draw(cfg, 3, seed=2)
-    m = expand(d, ("a", 1))
+    m = dense_expansion(d, ("a", 1))
     assert m.shape == (6, 3)
     assert np.count_nonzero(m) == 6
     for t in range(3):
         col = m[:, t]
         assert np.count_nonzero(col[: 2 * t]) == 0
         assert np.count_nonzero(col[2 * (t + 1):]) == 0
+        assert np.array_equal(col[2 * t: 2 * (t + 1)], d.h_a[0, :, t])
 
 
 def test_expand_unknown_path(s1_cfg):
     d = draw(s1_cfg, 2, seed=0)
     with pytest.raises(UnknownPath):
-        expand(d, ("c", 1))
+        apply(d, ("c", 1), np.eye(2))
     with pytest.raises(UnknownPath):
-        expand(d, ("b", 3, 1))
+        apply(d, ("b", 3, 1), np.eye(2))
+
+
+def _reference_apply(h, v):
+    """Dense block-diagonal H_tilde built entry by entry, times v."""
+    n_ant, mu_n = h.shape
+    exact = h.dtype == object
+    dense = numerics.zeros_like_mode(exact, n_ant * mu_n, mu_n)
+    for t in range(mu_n):
+        for a in range(n_ant):
+            dense[t * n_ant + a, t] = h[a, t]
+    return numerics.matmul(dense, v)
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 4),
+       st.sampled_from(["float", "rational"]), st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_dense_block_diagonal(n_ant, mu_n, ncols, mode, seed):
+    cfg = SigmaConfig(n_ant, 1, 1, 0, 0)
+    d = draw(cfg, mu_n, seed=seed, mode=mode)
+    v = in_mode(d.exact, np.random.default_rng(seed).integers(
+        -3, 4, size=(mu_n, ncols)))
+    out = apply(d, ("a", 1), v)
+    ref = _reference_apply(d.h_a[0], v)
+    assert out.shape == (n_ant * mu_n, ncols)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
 
 
 def test_stack_rank(s1_cfg):
     d = draw(s1_cfg, 12, seed=3)
-    st = stack(d, 1, (1,))
-    assert st.matrix.shape == (12, 12)
-    assert numerics.rank(st.matrix) == 12
+    blocks = stack(d, 1, (1,))
+    assert blocks.shape == (12, 1, 1)
+    assert numerics.rank(blocks) == 12
 
 
 def test_stack_exact_invertible(s1_cfg):
     d = draw(s1_cfg, 12, seed=3, mode="rational")
-    st = stack(d, 1, (1,))
-    assert numerics.rank(st.matrix) == 12
+    blocks = stack(d, 1, (1,))
+    assert blocks.dtype == object
+    assert numerics.rank(blocks) == 12
+
+
+def test_stack_blocks_are_the_dense_stack(big_cfg):
+    # Permuting the dense stack's columns to slot-major order leaves it
+    # block-diagonal with exactly these blocks.
+    d = draw(big_cfg, 5, seed=8)
+    blocks = stack(d, 2, (3, 1))
+    dense = np.hstack([dense_expansion(d, ("b", 2, j)) for j in (3, 1)])
+    perm = [k * 5 + t for t in range(5) for k in range(2)]
+    permuted = dense[:, perm]
+    for t in range(5):
+        rows = cols = slice(2 * t, 2 * t + 2)
+        assert np.array_equal(permuted[rows, cols], blocks[t])
+        permuted[rows, cols] = 0.0
+    assert np.count_nonzero(permuted) == 0
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_stack_identical_members_singular(big_cfg, mode):
+    # Negative control: two set members with the same channel leave every
+    # slot's block with two equal columns.
+    d = draw(big_cfg, 6, seed=4, mode=mode)
+    d.h_b1[1] = d.h_b1[0]
+    with pytest.raises(SingularStack):
+        stack(d, 1, (1, 2))
+    with pytest.raises(SingularStack):
+        compute_t(d, 1, 3, (1, 2))
+    stack(d, 1, (1, 3))
 
 
 def test_compute_t_scalar_ratio(s1_cfg):
     d = draw(s1_cfg, 1, seed=4)
     [t] = compute_t(d, 1, 2, (1,))
-    assert t.shape == (1, 1)
-    assert np.isclose(t[0, 0], d.h_b1[1, 0, 0] / d.h_b1[0, 0, 0])
+    assert t.shape == (1,)
+    assert np.isclose(t[0], d.h_b1[1, 0, 0] / d.h_b1[0, 0, 0])
 
 
 def test_compute_t_exact_ratios(s1_cfg):
     d = draw(s1_cfg, 12, seed=4, mode="rational")
-    [t] = compute_t(d, 1, 2, (1,))
-    diag = t_diagonal(t)
+    [diag] = compute_t(d, 1, 2, (1,))
     for slot in range(12):
         assert diag[slot] == d.h_b1[1, 0, slot] / d.h_b1[0, 0, slot]
 
 
 @pytest.mark.parametrize("mode", ["float", "rational"])
 def test_compute_t_diagonal_and_reconstructs(mode):
+    # H_tilde_j = sum_k H_tilde_{s_k} diag(T_k), each T_k a diagonal
     cfg = SigmaConfig(2, 2, 0, 3, 0)
     d = draw(cfg, 8, seed=9, mode=mode)
-    blocks = compute_t(d, 1, 3, (1, 2))
-    assert len(blocks) == 2
-    st = stack(d, 1, (1, 2)).matrix
-    x = np.vstack(blocks)
-    recon = numerics.matmul(st, x)
-    target = expand(d, ("b", 1, 3))
+    diags = compute_t(d, 1, 3, (1, 2))
+    assert len(diags) == 2
+    assert all(t.shape == (8,) for t in diags)
+    recon = sum(apply(d, ("b", 1, s), np.diag(t))
+                for s, t in zip((1, 2), diags))
+    target = dense_expansion(d, ("b", 1, 3))
     if mode == "rational":
         assert all(recon[i, j] == target[i, j]
                    for i in range(16) for j in range(8))

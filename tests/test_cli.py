@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,26 @@ def test_region_check_infeasible(tmp_path, capsys):
     assert code == 2
     doc = json.loads(out)
     assert any(v["label"].startswith("mac:") for v in doc["violated"])
+
+
+def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
+    # BIG at n=2 needs mu_n = 486 slots, past rational mode's 97-slot cap.
+    cfg = dict(S1_CONFIG, n=2, trials=1, mode="rational")
+    cfg["cfg"] = {"n1": 2, "n2": 2, "la": 0, "lb": 3, "lc": 0}
+    cfg["d"] = {"db1": ["1/6"] * 3, "db2": ["1/6"] * 3}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigma_align.cli", "ia", "run", "--config",
+         str(p)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "mu_n = 486" in proc.stderr and "97" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_region_check_bad_rational(tmp_path, capsys):

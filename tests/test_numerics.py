@@ -124,16 +124,76 @@ def test_float_rank_matches_exact_rank(nrows, ncols, data):
     assert rank(to_float(m)) == rank(m)
 
 
+def _block_diag(blocks):
+    nb, r, c = blocks.shape
+    exact = numerics.is_exact(blocks)
+    out = numerics.zeros_like_mode(exact, nb * r, nb * c)
+    for t in range(nb):
+        out[t * r:(t + 1) * r, t * c:(t + 1) * c] = blocks[t]
+    return out
+
+
 def test_solve_exact_roundtrip():
-    a = exact_matrix([[2, 1], [1, 3]])
-    b = exact_matrix([[1, 0], [0, 1]])
-    x = numerics.solve_exact(a, b)
-    prod = numerics.matmul(a, x)
+    a = exact_matrix([[2, 1], [1, 3]])[None]
+    b = exact_matrix([[1, 0], [0, 1]])[None]
+    x = numerics.solve_blocks(a, b)
+    prod = numerics.matmul(a[0], x[0])
     assert all(prod[i, j] == (1 if i == j else 0)
                for i in range(2) for j in range(2))
 
 
 def test_solve_exact_singular():
-    a = exact_matrix([[1, 2], [2, 4]])
+    a = np.stack([exact_matrix([[1, 0], [0, 1]]),
+                  exact_matrix([[1, 2], [2, 4]])])
     with pytest.raises(np.linalg.LinAlgError):
-        numerics.solve_exact(a, exact_matrix([[1], [1]]))
+        numerics.solve_blocks(a, exact_matrix([[1], [1]])[None].repeat(2, 0))
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_solve_blocks_both_modes(n_blocks, n, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-5, 6, size=(n_blocks, n, n))
+    a[:, range(n), range(n)] += 20     # diagonally dominant: nonsingular
+    b = rng.integers(-5, 6, size=(n_blocks, n, k))
+    x = numerics.solve_blocks(a.astype(float), b.astype(float))
+    ref = np.linalg.solve(a, b)
+    # |a| <= 25 and a's diagonal dominance keep cond(a) below 10, so a few
+    # ulps of the largest solution entry bound the rounding difference.
+    assert np.allclose(x, ref, rtol=0, atol=1e-14 * max(np.abs(ref).max(), 1))
+    ea = exact_matrix(a.reshape(-1, n)).reshape(a.shape)
+    eb = exact_matrix(b.reshape(-1, k)).reshape(b.shape)
+    ex = numerics.solve_blocks(ea, eb)
+    assert ex.dtype == object
+    for t in range(n_blocks):
+        assert np.array_equal(numerics.matmul(ea[t], ex[t]), eb[t])
+
+
+def test_solve_blocks_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        numerics.solve_blocks(np.ones((2, 2, 3)), np.ones((2, 2, 1)))
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_of_blocks_is_rank_of_block_diagonal(n_blocks, r, c, data):
+    # Singular values of a block-diagonal matrix are the union of its
+    # blocks' values, and max-norm scaling acts block by block, so the
+    # stacked blocks get the dense matrix's rank in both modes.
+    ints = np.array([[[data.draw(st.integers(-3, 3)) for _ in range(c)]
+                      for _ in range(r)] for _ in range(n_blocks)])
+    blocks = exact_matrix(ints.reshape(-1, c)).reshape(ints.shape)
+    assert rank(blocks) == rank(_block_diag(blocks))
+    fblocks = ints.astype(float)
+    assert rank(fblocks) == rank(_block_diag(fblocks)) == rank(blocks)
+    scaled = numerics._equilibrated(_block_diag(fblocks))
+    assert np.array_equal(_block_diag(numerics._equilibrated(fblocks)), scaled)
+
+
+def test_rank_of_blocks_uses_the_full_matrix_cutoff():
+    # Each block's smaller singular value, about 2e-8, clears a one-block
+    # cutoff (1e-9 * 2 * 2) but not the 20x20 block-diagonal matrix's.
+    blocks = np.array([[[1.0, 1.0], [1.0, 1.0 + 4e-8]]] * 10)
+    assert rank(blocks[:1]) == 2
+    assert rank(blocks) == rank(_block_diag(blocks)) == 10

@@ -122,8 +122,7 @@ def test_build_p_monomial_columns(s1_cfg, s1_point):
     pl = plan(s1_cfg, s1_point, 1)
     dr = channel.draw(s1_cfg, pl.mu_n, 21, "rational")
     t_set = compute_t_set(dr, pl)
-    [t] = [t_set.bs1[p] for p in t_set.pairs(1)]
-    diag = channel.t_diagonal(t)
+    [diag] = [t_set.bs1[p] for p in t_set.pairs(1)]
     tuples = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
     p21 = build_p([diag], tuples, pl.mu_n, exact=True)
     assert p21.shape == (12, 2)
@@ -131,6 +130,8 @@ def test_build_p_monomial_columns(s1_cfg, s1_point):
         assert p21[r, 0] == diag[r]
         assert p21[r, 1] == diag[r] ** 2
     # cross-check against dense matrix-power evaluation
+    t = numerics.exact_zeros(12, 12)
+    t[range(12), range(12)] = diag
     ones = numerics.exact_matrix([[1]] * 12)
     dense = numerics.matmul(numerics.matmul(t, t), ones)
     assert all(dense[r, 0] == p21[r, 1] for r in range(12))
