@@ -85,7 +85,6 @@ def load_config(path: str, args) -> dict:
         "trials": int(getattr(args, "trials", None) or raw.get("trials", 1)),
         "mode": getattr(args, "mode", None) or raw.get("mode", "float"),
         "tol": tol,
-        "subset_cap": int(raw.get("subset_cap", region.DEFAULT_SUBSET_CAP)),
     }
 
 
@@ -103,7 +102,6 @@ def resolved_config_doc(rc: dict) -> dict:
         "trials": rc["trials"], "mode": rc["mode"],
         "tol": {"rank": rc["tol"].rel_rank_tol,
                 "match": rc["tol"].col_match_tol},
-        "subset_cap": rc["subset_cap"],
         "distributions": {
             "float": "log-uniform on [1/2, 2]",
             "rational": "k/64, k in {32..128}, no repeats per series",
@@ -142,7 +140,7 @@ def cmd_region_maxsum(args) -> int:
         weights = [_parse_fraction(w) for w in args.weights.split(",")]
     else:
         weights = [Fraction(1)] * cfg.num_messages
-    value, point = region.max_sum_dof(cfg, weights, rc["subset_cap"])
+    value, point = region.max_sum_dof(cfg, weights)
     doc = {
         "optimum": _frac_str(value),
         "optimum_decimal": float(value),

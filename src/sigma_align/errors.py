@@ -14,7 +14,8 @@ class DimensionMismatch(SigmaAlignError):
 
 
 class SubsetExplosion(SigmaAlignError):
-    """Raised when a constraint family would enumerate too many subsets."""
+    """The enumeration oracle (``region.enumerate_constraints``) would list
+    more subset cuts than its cap; ``max_sum_dof`` never raises it."""
 
 
 class UnknownPath(SigmaAlignError):

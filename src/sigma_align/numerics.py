@@ -23,8 +23,9 @@ class Tolerance:
     """Thresholds used only in float mode; exact mode compares exactly.
 
     rel_rank_tol: singular values below rel_rank_tol * s_max * max(rows, cols)
-    are treated as zero.  col_match_tol: max-norm threshold for column
-    equality.
+    are treated as zero.  col_match_tol: relative max-norm threshold for
+    column equality; column a_j matches column b_k when
+    max|a_j - b_k| <= col_match_tol * max(1, max|b_k|).
     """
 
     rel_rank_tol: float = 1e-9
@@ -122,28 +123,20 @@ def columns_subset_of(a: np.ndarray, b: np.ndarray,
                       tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every column of ``a`` equals some column of ``b``.
 
-    Stronger than span containment: equality is exact in exact mode and
-    within ``col_match_tol`` in max norm in float mode.
+    Stronger than span containment: equality is exact in exact mode and,
+    in float mode, within ``col_match_tol`` relative to the scale of the
+    column of ``b`` (see ``Tolerance``).
     """
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    exact = is_exact(a)
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        found = False
-        for k in range(b.shape[1]):
-            other = b[:, k]
-            if exact:
-                if all(col[i] == other[i] for i in range(len(col))):
-                    found = True
-                    break
-            else:
-                if np.max(np.abs(col - other)) <= tol.col_match_tol:
-                    found = True
-                    break
-        if not found:
-            return False
-    return True
+    if is_exact(a):
+        cols = set(map(tuple, b.T))
+        return all(tuple(col) in cols for col in a.T)
+    bound = tol.col_match_tol * np.maximum(
+        1.0, np.max(np.abs(b), axis=0, initial=0.0))
+    return all(np.any(np.max(np.abs(b - col[:, None]), axis=0, initial=0.0)
+                      <= bound)
+               for col in a.T)
 
 
 def _integer_rows(m: np.ndarray) -> list[list[int]]:

@@ -227,22 +227,46 @@ def mu0(d: DofPoint) -> int:
     return math.lcm(*dens) if dens else 1
 
 
-def max_sum_dof(cfg: SigmaConfig, weights,
-                cap: int = DEFAULT_SUBSET_CAP) -> tuple[Fraction, DofPoint]:
+def max_sum_dof(cfg: SigmaConfig, weights) -> tuple[Fraction, DofPoint]:
     """Exact maximum of a nonnegative weighted DoF sum over the region.
 
-    Solved by a rational simplex method over the enumerated constraints.
-    Returns the optimum and one optimizing point.
+    Each MAC family own_sum + top_k(cross) <= N_i, k = min(N_i, lb),
+    enters in the O(lb)-row LP form of the k largest sum (Ogryczak &
+    Tamir, IPL 2003): auxiliary columns t, u_1..u_lb >= 0 with
+    own_sum + k*t + sum_j u_j <= N_i and cross_j - t - u_j <= 0.  At any
+    x the smallest feasible k*t + sum_j u_j is top_k(cross), so the
+    projection onto the DoF variables is the region.  Solved by a rational
+    simplex method; returns the optimum and one optimizing point.
     """
     weights = [Fraction(w) for w in weights]
     if len(weights) != cfg.num_messages:
         raise DimensionMismatch("weight vector length mismatch")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    constraints = enumerate_constraints(cfg, cap)
-    a = [list(c.coeffs) for c in constraints]
-    b = [c.bound for c in constraints]
-    value, x = _simplex_max(a, b, weights)
+    n_x, lb = cfg.num_messages, cfg.lb
+    families = _mac_families(cfg)
+    n_cols = n_x + len(families) * (1 + lb)
+
+    def row(idxs):
+        r = [0] * n_cols
+        for i in idxs:
+            r[i] = 1
+        return r
+
+    a = [row(idxs) for idxs, _ in _unit_bounds(cfg)]
+    b = [1] * len(a)
+    for f, (_, n_own, own_idxs, cross_offset) in enumerate(families):
+        t = n_x + f * (1 + lb)          # columns t, u_1..u_lb
+        r = row(own_idxs + list(range(t + 1, t + 1 + lb)))
+        r[t] = min(n_own, lb)
+        a.append(r)
+        b.append(n_own)
+        for j in range(lb):
+            r = row([cross_offset + j])
+            r[t] = r[t + 1 + j] = -1
+            a.append(r)
+            b.append(0)
+    value, x = _simplex_max(a, b, weights + [0] * (n_cols - n_x))
     oa, ob1, ob2, oc = _offsets(cfg)
     point = DofPoint(tuple(x[oa:oa + cfg.la]),
                      tuple(x[ob1:ob1 + cfg.lb]),
@@ -256,6 +280,8 @@ def _simplex_max(a, b, c):
 
     Dense tableau simplex with Bland's rule; exact Fractions throughout.
     The all-slack basis is feasible because every bound is nonnegative.
+    Each pivot updates rows in place, only in the pivot row's nonzero
+    columns.
     """
     m, n = len(a), len(c)
     # tableau rows: [a | I | b]; objective row: [-c | 0 | 0]
@@ -280,15 +306,15 @@ def _simplex_max(a, b, c):
         if leave is None:
             raise ValueError("objective unbounded (region should be bounded)")
         piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        prow = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, prow)]
+        prow = tab[leave] = [x / piv for x in tab[leave]]
+        # eliminate only where the pivot row is nonzero; elsewhere x - f*0
+        # would leave the entry unchanged
+        nz = [j for j, y in enumerate(prow) if y]
+        for row in tab + [obj]:
+            f = row[enter]
+            if row is not prow and f:
+                for j in nz:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):

@@ -97,6 +97,19 @@ def test_region_maxsum_zero_weights(s1_config_file, capsys):
     assert json.loads(out)["optimum"] == "0/1"
 
 
+def test_region_maxsum_lb10_ignores_subset_cap(tmp_path, capsys):
+    cfg = dict(S1_CONFIG, subset_cap=1)
+    cfg["cfg"] = {"n1": 2, "n2": 2, "la": 0, "lb": 10, "lc": 0}
+    cfg["d"] = {"db1": ["0"] * 10, "db2": ["0"] * 10}
+    p = tmp_path / "lb10.json"
+    p.write_text(json.dumps(cfg))
+    code, out = run_cli(["region", "max-sum", "--config", str(p)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["optimum"] == "10/3"
+    assert "subset_cap" not in doc["config"]
+
+
 def test_ia_run(s1_config_file, capsys):
     code, out = run_cli(["ia", "run", "--config", s1_config_file], capsys)
     assert code == 0

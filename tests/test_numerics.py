@@ -95,6 +95,24 @@ def test_columns_subset_exact_mode():
     assert not columns_subset_of(a2, b)
 
 
+def test_columns_subset_exact_mode_repeated_columns():
+    b = exact_matrix([[1, 2, 1, 2], [3, 4, 3, 4]])
+    assert columns_subset_of(b[:, [3, 0, 0]], b)
+    assert not columns_subset_of(exact_matrix([[1], [4]]), b)
+
+
+def test_columns_subset_tolerance_is_relative_to_column_scale():
+    b = np.array([[3.0e20, 1.0], [2.0, 5.0]])
+    near = b[:, :1] + np.array([[np.spacing(3.0e20)], [0.0]])
+    assert columns_subset_of(near, b)
+    far = b[:, :1] * np.array([[1 + 1e-6], [1.0]])
+    assert not columns_subset_of(far, b)
+    assert not columns_subset_of(np.hstack([near, far]), b)
+    # below unit scale the threshold stays absolute
+    assert not columns_subset_of(np.array([[1.0 + 1e-6], [5.0]]), b)
+    assert columns_subset_of(np.array([[1.0 + 1e-9], [5.0]]), b)
+
+
 @st.composite
 def small_rational_matrix(draw):
     nrows = draw(st.integers(1, 6))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_align import region
 from sigma_align.errors import DimensionMismatch, SubsetExplosion
@@ -150,3 +152,42 @@ def test_max_sum_weighted(s1_cfg):
     # favoring one pair message saturates its pair bound
     value, _ = max_sum_dof(s1_cfg, [1, 0, 0, 0])
     assert value == 1
+
+
+def enumerated_optimum(cfg, weights):
+    """The same LP over the enumerated subset cuts: one row per cut."""
+    cons = enumerate_constraints(cfg)
+    value, _ = region._simplex_max([list(c.coeffs) for c in cons],
+                                   [c.bound for c in cons], weights)
+    return value
+
+
+@st.composite
+def lp_instances(draw):
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                           st.integers(0, 2), st.integers(0, 5),
+                           st.integers(0, 2))
+                 .filter(lambda s: s[2] + s[3] + s[4] > 0))
+    cfg = SigmaConfig(*shape)
+    weights = draw(st.lists(st.integers(0, 4), min_size=cfg.num_messages,
+                            max_size=cfg.num_messages))
+    return cfg, weights
+
+
+@given(lp_instances())
+@settings(max_examples=120, deadline=None)
+def test_max_sum_matches_enumerated_lp(instance):
+    cfg, weights = instance
+    value, point = max_sum_dof(cfg, weights)
+    assert value == enumerated_optimum(cfg, weights)
+    assert check_point_bruteforce(cfg, point).feasible
+    assert sum(w * x for w, x in zip(weights, point.as_vector())) == value
+
+
+@pytest.mark.parametrize("lb", range(2, 11))
+def test_max_sum_x_network_value(lb):
+    # Cadambe & Jafar's 2 x lb single-antenna X network: 2*lb/(lb+1)
+    cfg = SigmaConfig(1, 1, 0, lb, 0)
+    value, point = max_sum_dof(cfg, [1] * cfg.num_messages)
+    assert value == Fraction(2 * lb, lb + 1)
+    assert check_point_bruteforce(cfg, point).feasible

@@ -38,6 +38,40 @@ def test_alignment_negative_perturbation(s1_cfg, s1_point):
     assert not res["column_subset_ok"]
 
 
+BIG_POINT = DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3)
+GROUPED = (SigmaConfig(2, 2, 1, 3, 1),
+           DofPoint.make(da=["1/2"], db1=["1/6"] * 3, db2=["1/6"] * 3,
+                         dc=["1/2"]))
+
+
+@pytest.mark.parametrize("cfg, d", [(SigmaConfig(2, 2, 0, 3, 0), BIG_POINT),
+                                    GROUPED], ids=["big", "grouped"])
+def test_column_subset_large_entries(cfg, d):
+    # structured entries reach 1e19..2e20 here, far above an absolute 1e-8
+    report = run_experiment(cfg, d, 1, 1, "float")
+    assert report.alignment_ok and report.passed
+    assert report.column_subset_ok
+
+
+def test_column_subset_large_entries_negative(big_cfg, big_point):
+    _, _, t_set, ps = construction(big_cfg, big_point, 1, 1)
+    assert check_alignment(ps, t_set)["column_subset_ok"]
+    # the wide column that a moved BS-2 column lands on, largest first
+    wide = ps.p11
+    matched = []
+    for t in t_set.bs2.values():
+        col = (t[:, None] * ps.p12)[:, 0]
+        rel = (np.max(np.abs(wide - col[:, None]), axis=0)
+               / np.max(np.abs(wide), axis=0))
+        matched.append(int(np.argmin(rel)))
+    k = max(matched, key=lambda j: np.max(np.abs(wide[:, j])))
+    assert np.max(np.abs(wide[:, k])) > 1e10
+    i = int(np.argmax(np.abs(wide[:, k])))
+    ps.p11 = wide.copy()
+    ps.p11[i, k] *= 1 + 1e-6
+    assert not check_alignment(ps, t_set)["column_subset_ok"]
+
+
 def test_alignment_vacuous():
     cfg = SigmaConfig(2, 2, 0, 2, 0)
     d = DofPoint.make(db1=["1/2", "1/2"], db2=["1/2", "1/2"])
