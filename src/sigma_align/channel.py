@@ -8,6 +8,11 @@ the stack of an alignment set's expanded channels is a (mu_n, N_i, N_i)
 array of per-slot blocks, and each T matrix is its length-mu_n diagonal.
 Every product is elementwise numpy, so float64 and Fraction arrays take
 the same code path.
+
+This is where the arithmetic mode is chosen: ``_draw_block`` is the only
+code that reads a mode, and the distribution it draws from fixes the dtype
+of the draw and of everything computed from it.  Downstream code follows
+the dtype; only ``numerics`` branches on it.
 """
 
 from __future__ import annotations
@@ -47,9 +52,8 @@ class ChannelDraw:
     h_b2: np.ndarray
     h_c: np.ndarray
 
-    @property
-    def exact(self) -> bool:
-        return self.mode == "rational"
+
+MODES = ("float", "rational")   # every mode _draw_block can draw in
 
 
 def _draw_block(rng, count, n_ant, mu_n, mode):
@@ -82,7 +86,7 @@ def draw(cfg: SigmaConfig, mu_n: int, seed: int, mode: str = "float") -> Channel
     """
     if mu_n < 1:
         raise ValueError("mu_n must be positive")
-    if mode not in ("float", "rational"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     return ChannelDraw(

@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import precoder, region, verify
+from .channel import MODES
 from .errors import InfeasiblePoint, ParseError, SigmaAlignError
 from .numerics import Tolerance
 from .region import DofPoint, SigmaConfig
@@ -55,37 +56,49 @@ def load_config(path: str, args) -> dict:
             tuple(_parse_fraction(x) for x in dd.get("db1", [])),
             tuple(_parse_fraction(x) for x in dd.get("db2", [])),
             tuple(_parse_fraction(x) for x in dd.get("dc", [])))
-    except (KeyError, TypeError, ValueError) as e:
+        tol_cfg = raw.get("tol", {})
+        tol = Tolerance(
+            rel_rank_tol=float(_flag_or(args, "tol_rank",
+                                        tol_cfg.get("rank", 1e-9))),
+            col_match_tol=float(_flag_or(args, "tol_match",
+                                         tol_cfg.get("match", 1e-8))))
+        n = int(_flag_or(args, "n", raw.get("n", 1)))
+        rc = {
+            "cfg": cfg,
+            "d": d,
+            "n": n,
+            "n_max": int(_flag_or(args, "n_max", raw.get("n_max", n))),
+            "seed": _resolve_seed(_flag_or(args, "seed", raw.get("seed"))),
+            "trials": int(_flag_or(args, "trials", raw.get("trials", 1))),
+            "mode": _flag_or(args, "mode", raw.get("mode", "float")),
+            "tol": tol,
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad config: {e}") from e
     if not d.matches(cfg):
         raise ParseError("DoF point shape does not match cfg")
+    for key in ("n", "trials"):
+        if rc[key] < 1:
+            raise ParseError(f"{key} must be positive, got {rc[key]}")
+    if rc["mode"] not in MODES:
+        raise ParseError(f"unknown mode {rc['mode']!r}, not in {MODES}")
+    return rc
 
-    seed = getattr(args, "seed", None)
+
+def _flag_or(args, name, fallback):
+    """A command line flag's value if it was given, else the fallback."""
+    value = getattr(args, name, None)
+    return fallback if value is None else value
+
+
+def _resolve_seed(seed) -> int:
+    """The given seed, else SIGMA_ALIGN_SEED, else 0."""
     if seed is None:
-        seed = raw.get("seed")
-    if seed is None:
-        seed = os.environ.get("SIGMA_ALIGN_SEED")
-    seed = int(seed) if seed is not None else 0
-
-    tol_cfg = raw.get("tol", {})
-    tol = Tolerance(
-        rel_rank_tol=(args.tol_rank if getattr(args, "tol_rank", None)
-                      else tol_cfg.get("rank", 1e-9)),
-        col_match_tol=(args.tol_match if getattr(args, "tol_match", None)
-                       else tol_cfg.get("match", 1e-8)))
-
-    n = getattr(args, "n", None) or raw.get("n", 1)
-    n_max = getattr(args, "n_max", None) or raw.get("n_max", n)
-    return {
-        "cfg": cfg,
-        "d": d,
-        "n": int(n),
-        "n_max": int(n_max),
-        "seed": seed,
-        "trials": int(getattr(args, "trials", None) or raw.get("trials", 1)),
-        "mode": getattr(args, "mode", None) or raw.get("mode", "float"),
-        "tol": tol,
-    }
+        seed = os.environ.get("SIGMA_ALIGN_SEED", 0)
+    try:
+        return int(seed)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad seed {seed!r}") from e
 
 
 def resolved_config_doc(rc: dict) -> dict:
@@ -214,8 +227,7 @@ def cmd_ia_sweep(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    seed = args.seed if args.seed is not None else \
-        int(os.environ.get("SIGMA_ALIGN_SEED", 0))
+    seed = _resolve_seed(args.seed)
     mode = args.mode or "float"
     valid_ok = 0
     negative_full = 0
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--trials", type=int)
-        sp.add_argument("--mode", choices=["float", "rational"])
+        sp.add_argument("--mode", choices=MODES)
         sp.add_argument("--tol-rank", type=float, dest="tol_rank")
         sp.add_argument("--tol-match", type=float, dest="tol_match")
         sp.add_argument("--n", type=int)
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--mode", choices=["float", "rational"])
+    sp.add_argument("--mode", choices=MODES)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_lemma1)
     return p

@@ -1,8 +1,10 @@
 """Dual-mode (float / exact rational) dense matrices and rank predicates.
 
 Matrices are plain numpy arrays.  dtype float64 means float mode; dtype
-object means exact mode with ``fractions.Fraction`` entries.  The mode is
-uniform within a matrix and every predicate dispatches on it.  A stack of
+object means exact mode with ``fractions.Fraction`` entries.  The channel
+draw picks the dtype, and the rest of the package computes with numpy
+expressions that work on either; this module is the one place that
+branches on it (``rank`` and ``columns_subset_of``).  A stack of
 square blocks along a leading axis stands for the block-diagonal matrix
 they form; ``rank`` and ``solve_blocks`` work on it block by block.
 """
@@ -51,20 +53,6 @@ def exact_matrix(rows) -> np.ndarray:
         for j, x in enumerate(row):
             out[i, j] = x
     return out
-
-
-def exact_zeros(nrows: int, ncols: int) -> np.ndarray:
-    out = np.empty((nrows, ncols), dtype=object)
-    out[...] = Fraction(0)
-    return out
-
-
-def to_float(m: np.ndarray) -> np.ndarray:
-    return m.astype(float)
-
-
-def zeros_like_mode(exact: bool, nrows: int, ncols: int) -> np.ndarray:
-    return exact_zeros(nrows, ncols) if exact else np.zeros((nrows, ncols))
 
 
 def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -178,32 +177,26 @@ def exponent_tuples(b: int, n: int, gamma: int, form: str) -> list[ExponentTuple
     return out
 
 
-def build_p(t_diags, tuples, mu_n: int, exact: bool) -> np.ndarray:
+def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
     """Structured matrix: column k = prod over pairs diag(T)^alpha applied to 1.
 
     t_diags is the ordered list of T diagonals, one per (l, j) pair,
     matching the alpha ordering of the tuples.  With diagonal T the
-    monomials are evaluated entrywise.
+    monomials are evaluated entrywise, in the dtype of the diagonals.
     """
-    ncols = len(tuples)
-    out = numerics.zeros_like_mode(exact, mu_n, ncols)
-    one = Fraction(1) if exact else 1.0
-    for k, tup in enumerate(tuples):
-        if len(tup.alphas) != len(t_diags):
-            raise InconsistentPlan("exponent tuple arity != number of T pairs")
-        for r in range(mu_n):
-            val = one
-            for diag, alpha in zip(t_diags, tup.alphas):
-                val = val * diag[r] ** alpha
-            out[r, k] = val
-    return out
+    gamma = len(t_diags)
+    if any(len(tup.alphas) != gamma for tup in tuples):
+        raise InconsistentPlan("exponent tuple arity != number of T pairs")
+    alphas = np.reshape([tup.alphas for tup in tuples], (len(tuples), gamma))
+    x = np.reshape(t_diags, (gamma, mu_n)).T   # gamma = 0: columns of ones
+    return np.prod(x[:, None, :] ** alphas, axis=-1)
 
 
-def _random_full_rank(rng, mu_n, ncols, exact, tol, what):
+def _random_full_rank(rng, mu_n, ncols, mode, tol, what):
     """Random bounded matrix, full column rank checked with one retry."""
     for _ in range(2):
-        m = channel_mod._draw_block(rng, 1, mu_n, max(ncols, 1), "rational"
-                                    if exact else "float")[0][:, :ncols]
+        m = channel_mod._draw_block(rng, 1, mu_n, max(ncols, 1),
+                                    mode)[0][:, :ncols]
         if ncols == 0 or numerics.rank(m, tol) == ncols:
             return m
     raise RankDeficientRandom(what)
@@ -255,7 +248,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     """
     if draw.mu_n != pl.mu_n:
         raise InconsistentPlan("channel draw length != planned expansion")
-    exact = draw.exact
+    mode = draw.mode
     rng = np.random.default_rng(seed)
     if t_set is None:
         t_set = compute_t_set(draw, pl, tol)
@@ -268,14 +261,14 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
         diags = [t_set.bs2[p] for p in t_set.pairs(2)]
         ps.tuples11 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "wide")
         ps.tuples12 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "narrow")
-        ps.p11 = build_p(diags, ps.tuples11, pl.mu_n, exact)
-        ps.p12 = build_p(diags, ps.tuples12, pl.mu_n, exact)
+        ps.p11 = build_p(diags, ps.tuples11, pl.mu_n)
+        ps.p12 = build_p(diags, ps.tuples12, pl.mu_n)
     if pl.need_align_bs1:   # s2 exists; p21/p22 built from BS-1 pairs
         diags = [t_set.bs1[p] for p in t_set.pairs(1)]
         ps.tuples21 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
         ps.tuples22 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "narrow")
-        ps.p21 = build_p(diags, ps.tuples21, pl.mu_n, exact)
-        ps.p22 = build_p(diags, ps.tuples22, pl.mu_n, exact)
+        ps.p21 = build_p(diags, ps.tuples21, pl.mu_n)
+        ps.p22 = build_p(diags, ps.tuples22, pl.mu_n)
 
     def structured_side(i, s, p_shared, p_pool):
         for j in range(1, pl.cfg.lb + 1):
@@ -285,7 +278,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
                 q_cols = bar - p_shared.shape[1]
                 if q_cols < 0:
                     raise InconsistentPlan(f"{mid}: target below shared block")
-                q = _random_full_rank(rng, pl.mu_n, q_cols, exact, tol, mid)
+                q = _random_full_rank(rng, pl.mu_n, q_cols, mode, tol, mid)
                 ps.q[mid] = q
                 ps.v[mid] = p_shared if q_cols == 0 else np.hstack([p_shared, q])
             else:
@@ -298,7 +291,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     def random_side(i):
         for j in range(1, pl.cfg.lb + 1):
             mid = f"b{i}_{j}"
-            ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], exact,
+            ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode,
                                           tol, mid)
 
     if pl.need_align_bs2:
@@ -312,8 +305,8 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
 
     for j in range(1, pl.cfg.la + 1):
         mid = f"a{j}"
-        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], exact, tol, mid)
+        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, tol, mid)
     for j in range(1, pl.cfg.lc + 1):
         mid = f"c{j}"
-        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], exact, tol, mid)
+        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, tol, mid)
     return ps

@@ -8,7 +8,7 @@ signal-plus-interference matrix at each BS must have full column rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -210,7 +210,7 @@ def lemma1_test(m: int, k: int, exponent_gen, seed: int, mode: str = "float",
     claim_valid.  Returns whether the realized matrix has rank m.
     """
     rng = np.random.default_rng(seed)
-    alphas = np.asarray(exponent_gen(m, k, rng))
+    alphas = np.asarray(exponent_gen(m, k, rng), dtype=int)
     if alphas.shape != (m, m, k):
         raise InvalidGenerator(f"exponent array shape {alphas.shape}")
     rows_distinct = all(
@@ -218,14 +218,7 @@ def lemma1_test(m: int, k: int, exponent_gen, seed: int, mode: str = "float",
     if claim_valid and not rows_distinct:
         raise InvalidGenerator("duplicate exponent tuple within a row")
     x = channel_mod._draw_block(rng, 1, m, k, mode)[0]   # (m, k) variables
-    exact = mode == "rational"
-    a = numerics.zeros_like_mode(exact, m, m)
-    for i in range(m):
-        for j in range(m):
-            val = Fraction(1) if exact else 1.0
-            for kk in range(k):
-                val = val * x[i, kk] ** int(alphas[i, j, kk])
-            a[i, j] = val
+    a = np.prod(x[:, None, :] ** alphas, axis=-1)
     return numerics.rank(a, tol) == m
 
 

@@ -11,13 +11,15 @@ from sigma_align.errors import SingularStack, SlotCapExceeded, UnknownPath
 from sigma_align.region import SigmaConfig
 
 
-def in_mode(exact, ints):
-    return numerics.exact_matrix(ints) if exact else np.asarray(ints, float)
+def in_mode(mode, ints):
+    if mode == "rational":
+        return numerics.exact_matrix(ints)
+    return np.asarray(ints, float)
 
 
 def dense_expansion(d, path):
     """H_tilde as the dense (n_ant * mu_n) x mu_n block-diagonal matrix."""
-    return apply(d, path, in_mode(d.exact, np.eye(d.mu_n, dtype=int)))
+    return apply(d, path, in_mode(d.mode, np.eye(d.mu_n, dtype=int)))
 
 
 def test_draw_deterministic(s1_cfg):
@@ -93,8 +95,8 @@ def test_expand_unknown_path(s1_cfg):
 def _reference_apply(h, v):
     """Dense block-diagonal H_tilde built entry by entry, times v."""
     n_ant, mu_n = h.shape
-    exact = h.dtype == object
-    dense = numerics.zeros_like_mode(exact, n_ant * mu_n, mu_n)
+    zero = Fraction(0) if numerics.is_exact(h) else 0.0
+    dense = np.full((n_ant * mu_n, mu_n), zero, dtype=h.dtype)
     for t in range(mu_n):
         for a in range(n_ant):
             dense[t * n_ant + a, t] = h[a, t]
@@ -107,7 +109,7 @@ def _reference_apply(h, v):
 def test_apply_matches_dense_block_diagonal(n_ant, mu_n, ncols, mode, seed):
     cfg = SigmaConfig(n_ant, 1, 1, 0, 0)
     d = draw(cfg, mu_n, seed=seed, mode=mode)
-    v = in_mode(d.exact, np.random.default_rng(seed).integers(
+    v = in_mode(d.mode, np.random.default_rng(seed).integers(
         -3, 4, size=(mu_n, ncols)))
     out = apply(d, ("a", 1), v)
     ref = _reference_apply(d.h_a[0], v)

@@ -54,6 +54,23 @@ def test_region_check_infeasible(tmp_path, capsys):
     assert any(v["label"].startswith("mac:") for v in doc["violated"])
 
 
+def run_cli_process(argv, **env):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-m", "sigma_align.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def assert_error_line(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
     # BIG at n=2 needs mu_n = 486 slots, past rational mode's 97-slot cap.
     cfg = dict(S1_CONFIG, n=2, trials=1, mode="rational")
@@ -61,17 +78,44 @@ def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
     cfg["d"] = {"db1": ["1/6"] * 3, "db2": ["1/6"] * 3}
     p = tmp_path / "big.json"
     p.write_text(json.dumps(cfg))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sigma_align.cli", "ia", "run", "--config",
-         str(p)], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
+    proc = run_cli_process(["ia", "run", "--config", str(p)])
+    assert_error_line(proc)
     assert "mu_n = 486" in proc.stderr and "97" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("fields, flags", [
+    ({"mode": "exact"}, []),
+    ({"n": "two"}, []),
+    ({"n": 0}, []),
+    ({"trials": 0}, []),
+    ({}, ["--trials", "0"]),
+    ({"tol": {"rank": 0}}, []),
+    ({"tol": {"match": -1e-8}}, []),
+    ({}, ["--tol-rank", "0"]),
+    ({}, ["--tol-match", "-1"]),
+], ids=["mode-exact", "n-two", "n-zero", "trials-zero", "flag-trials-zero",
+        "tol-rank-0", "tol-match-neg", "flag-tol-rank-0",
+        "flag-tol-match-neg"])
+def test_bad_config_is_an_error_line(tmp_path, fields, flags):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**S1_CONFIG, "trials": 1, **fields}))
+    assert_error_line(
+        run_cli_process(["ia", "run", "--config", str(p), *flags]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "check", "--config", "CONFIG"],
+    ["ia", "run", "--config", "CONFIG"],
+    ["lemma1", "--m", "2", "--trials", "1"],
+], ids=["region", "ia", "lemma1"])
+def test_bad_seed_env_is_an_error_line(tmp_path, argv):
+    p = tmp_path / "noseed.json"
+    p.write_text(json.dumps({k: v for k, v in S1_CONFIG.items()
+                             if k != "seed"}))
+    argv = [str(p) if a == "CONFIG" else a for a in argv]
+    proc = run_cli_process(argv, SIGMA_ALIGN_SEED="abc")
+    assert_error_line(proc)
+    assert "abc" in proc.stderr
 
 
 def test_region_check_bad_rational(tmp_path, capsys):

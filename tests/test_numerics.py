@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sigma_align import numerics
 from sigma_align.errors import DimensionMismatch, EmptyMatrix
 from sigma_align.numerics import (Tolerance, columns_subset_of, exact_matrix,
-                                  rank, subspace_contains, to_float)
+                                  rank, subspace_contains)
 
 TOL = numerics.DEFAULT_TOL
 
@@ -31,7 +31,7 @@ def test_rank_empty_matrix_rejected():
 
 def test_rank_zero_matrix():
     assert rank(np.zeros((4, 4))) == 0
-    assert rank(numerics.exact_zeros(4, 4)) == 0
+    assert rank(np.full((4, 4), Fraction(0), dtype=object)) == 0
 
 
 def test_rank_monomial_tall_matrix():
@@ -41,7 +41,7 @@ def test_rank_monomial_tall_matrix():
     x = [Fraction(int(k), 64) for k in rng.integers(33, 128, size=6)]
     m = exact_matrix([[xi ** e for e in (1, 2, 3, 4)] for xi in x])
     assert rank(m) == 4
-    assert rank(to_float(m)) == 4
+    assert rank(m.astype(float)) == 4
 
 
 def test_tolerance_validation():
@@ -136,16 +136,16 @@ def test_float_rank_matches_exact_rank(nrows, ncols, data):
     rows = [[data.draw(st.integers(-4, 4)) for _ in range(ncols)]
             for _ in range(nrows)]
     m = exact_matrix(rows)
-    if np.all(to_float(m) == 0.0):
+    if np.all(m.astype(float) == 0.0):
         assert rank(m) == 0
         return
-    assert rank(to_float(m)) == rank(m)
+    assert rank(m.astype(float)) == rank(m)
 
 
 def _block_diag(blocks):
     nb, r, c = blocks.shape
-    exact = numerics.is_exact(blocks)
-    out = numerics.zeros_like_mode(exact, nb * r, nb * c)
+    zero = Fraction(0) if numerics.is_exact(blocks) else 0.0
+    out = np.full((nb * r, nb * c), zero, dtype=blocks.dtype)
     for t in range(nb):
         out[t * r:(t + 1) * r, t * c:(t + 1) * c] = blocks[t]
     return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigma_align import channel, numerics, precoder, verify
+from sigma_align import channel, numerics, precoder
 from sigma_align.errors import InfeasiblePoint, InvalidGenerator
 from sigma_align.region import DofPoint, SigmaConfig
 from sigma_align.verify import (achieved_dof, build_lambda, check_alignment,
@@ -119,10 +119,10 @@ def test_lambda_modes_agree(s1_cfg, s1_point):
     exact_full = check_lambda(parts)["full"]
     float_parts = build_lambda(
         1, channel.ChannelDraw(dr.cfg, dr.mu_n, dr.seed, "float",
-                               numerics.to_float(dr.h_a),
-                               numerics.to_float(dr.h_b1),
-                               numerics.to_float(dr.h_b2),
-                               numerics.to_float(dr.h_c)),
+                               dr.h_a.astype(float),
+                               dr.h_b1.astype(float),
+                               dr.h_b2.astype(float),
+                               dr.h_c.astype(float)),
         _floatify(ps), pl)
     assert check_lambda(float_parts)["full"] == exact_full
 
@@ -130,12 +130,12 @@ def test_lambda_modes_agree(s1_cfg, s1_point):
 def _floatify(ps):
     out = precoder.PrecoderSet(
         plan=ps.plan,
-        p11=None if ps.p11 is None else numerics.to_float(ps.p11),
-        p12=None if ps.p12 is None else numerics.to_float(ps.p12),
-        p21=None if ps.p21 is None else numerics.to_float(ps.p21),
-        p22=None if ps.p22 is None else numerics.to_float(ps.p22))
-    out.v = {k: numerics.to_float(v) for k, v in ps.v.items()}
-    out.q = {k: numerics.to_float(v) for k, v in ps.q.items()}
+        p11=None if ps.p11 is None else ps.p11.astype(float),
+        p12=None if ps.p12 is None else ps.p12.astype(float),
+        p21=None if ps.p21 is None else ps.p21.astype(float),
+        p22=None if ps.p22 is None else ps.p22.astype(float))
+    out.v = {k: v.astype(float) for k, v in ps.v.items()}
+    out.q = {k: v.astype(float) for k, v in ps.q.items()}
     return out
 
 
