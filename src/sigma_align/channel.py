@@ -6,7 +6,7 @@ one channel vector per slot.  This module keeps that structure slot-wise
 and never builds H_tilde: ``apply`` multiplies by it one slot at a time,
 the stack of an alignment set's expanded channels is a (mu_n, N_i, N_i)
 array of per-slot blocks, and each T matrix is its length-mu_n diagonal.
-Every product is elementwise numpy, so float64 and Fraction arrays take
+Every product is elementwise numpy, so float64, Fraction and Zp arrays take
 the same code path.
 
 This is where the arithmetic mode is chosen: ``_draw_block`` is the only
@@ -40,7 +40,7 @@ class ChannelDraw:
 
     Array shapes: h_a (la, n1, mu_n), h_b1 (lb, n1, mu_n),
     h_b2 (lb, n2, mu_n), h_c (lc, n2, mu_n).  Float mode stores float64,
-    exact mode stores Fraction objects.
+    rational mode Fraction objects and modp mode ``numerics.Zp`` objects.
     """
 
     cfg: SigmaConfig
@@ -53,14 +53,18 @@ class ChannelDraw:
     h_c: np.ndarray
 
 
-MODES = ("float", "rational")   # every mode _draw_block can draw in
+MODES = ("float", "rational", "modp")   # every mode _draw_block can draw in
 
 
 def _draw_block(rng, count, n_ant, mu_n, mode):
     if mode == "float":
         lo, hi = math.log(0.5), math.log(2.0)
         return np.exp(rng.uniform(lo, hi, size=(count, n_ant, mu_n)))
-    # Exact mode: k/64 with k in {32..128}, sampled without replacement
+    if mode == "modp":
+        # uniform on F_P without zero, so every channel gain is a unit
+        return numerics.zp_array(
+            rng.integers(1, numerics.P, size=(count, n_ant, mu_n)))
+    # Rational mode: k/64 with k in {32..128}, sampled without replacement
     # along each (user, antenna) time series so T diagonals never repeat
     # a value within one series.
     n_values = RATIONAL_NUM_HI - RATIONAL_NUM_LO + 1
@@ -78,11 +82,14 @@ def _draw_block(rng, count, n_ant, mu_n, mode):
 
 
 def draw(cfg: SigmaConfig, mu_n: int, seed: int, mode: str = "float") -> ChannelDraw:
-    """Deterministic seeded channel draw with support [1/2, 2].
+    """Deterministic seeded channel draw.
 
-    Float mode draws log-uniform coefficients; exact mode draws rationals
-    with fixed denominator 64 (a deliberate, bounded, non-continuous stand-in
-    for the continuous distribution the alignment argument assumes).
+    Float mode draws log-uniform coefficients on [1/2, 2]; rational mode
+    draws rationals on [1/2, 2] with fixed denominator 64 (a deliberate,
+    bounded, non-continuous stand-in for the continuous distribution the
+    alignment argument assumes); modp mode draws uniformly from the nonzero
+    residues mod ``numerics.P``, where a full-rank certificate at one
+    point is a proof of generic full rank (see ``verify.run_certified``).
     """
     if mu_n < 1:
         raise ValueError("mu_n must be positive")

@@ -70,7 +70,7 @@ def load_config(path: str, args) -> dict:
             "n_max": int(_flag_or(args, "n_max", raw.get("n_max", n))),
             "seed": _resolve_seed(_flag_or(args, "seed", raw.get("seed"))),
             "trials": int(_flag_or(args, "trials", raw.get("trials", 1))),
-            "mode": _flag_or(args, "mode", raw.get("mode", "float")),
+            "mode": _flag_or(args, "mode", raw.get("mode")),
             "tol": tol,
         }
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -80,7 +80,9 @@ def load_config(path: str, args) -> dict:
     for key in ("n", "trials"):
         if rc[key] < 1:
             raise ParseError(f"{key} must be positive, got {rc[key]}")
-    if rc["mode"] not in MODES:
+    if rc["n_max"] < rc["n"]:
+        raise ParseError(f"n_max = {rc['n_max']} is below n = {rc['n']}")
+    if rc["mode"] is not None and rc["mode"] not in MODES:
         raise ParseError(f"unknown mode {rc['mode']!r}, not in {MODES}")
     return rc
 
@@ -118,6 +120,7 @@ def resolved_config_doc(rc: dict) -> dict:
         "distributions": {
             "float": "log-uniform on [1/2, 2]",
             "rational": "k/64, k in {32..128}, no repeats per series",
+            "modp": "uniform on the nonzero residues mod 2^31 - 1",
         },
     }
 
@@ -168,10 +171,18 @@ def cmd_region_maxsum(args) -> int:
 
 
 def _run_trials(rc, n):
-    """Reports for all trials at one n."""
-    return [verify.run_experiment(rc["cfg"], rc["d"], n,
-                                  rc["seed"] + 1000 * t, rc["mode"], rc["tol"])
-            for t in range(rc["trials"])]
+    """Reports for all trials at one n.
+
+    A named mode runs only that mode; with none named, each trial goes
+    through ``run_certified``, and its report's mode says which decided.
+    """
+    def run(seed):
+        if rc["mode"] is None:
+            return verify.run_certified(rc["cfg"], rc["d"], n, seed,
+                                        rc["tol"])
+        return verify.run_experiment(rc["cfg"], rc["d"], n, seed,
+                                     rc["mode"], rc["tol"])
+    return [run(rc["seed"] + 1000 * t) for t in range(rc["trials"])]
 
 
 def cmd_ia_run(args) -> int:
@@ -227,6 +238,8 @@ def cmd_ia_sweep(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"trials must be positive, got {args.trials}")
     seed = _resolve_seed(args.seed)
     mode = args.mode or "float"
     valid_ok = 0

@@ -1,9 +1,10 @@
-"""Dual-mode (float / exact rational) dense matrices and rank predicates.
+"""Float, exact rational and prime-field dense matrices and rank predicates.
 
 Matrices are plain numpy arrays.  dtype float64 means float mode; dtype
-object means exact mode with ``fractions.Fraction`` entries.  The channel
-draw picks the dtype, and the rest of the package computes with numpy
-expressions that work on either; this module is the one place that
+object means an exact mode, with ``fractions.Fraction`` entries (rational
+mode) or ``Zp`` entries, residues modulo the prime P (modp mode).  The
+channel draw picks the dtype, and the rest of the package computes with
+numpy expressions that work on each; this module is the one place that
 branches on it (``rank`` and ``columns_subset_of``).  A stack of
 square blocks along a leading axis stands for the block-diagonal matrix
 they form; ``rank`` and ``solve_blocks`` work on it block by block.
@@ -40,6 +41,105 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+P = 2 ** 31 - 1   # a Mersenne prime; residues below 2**31 multiply in int64
+
+
+class Zp:
+    """An element of the prime field F_P, for object arrays in modp mode.
+
+    Arithmetic mixes with Python and numpy integers, which are reduced
+    first.  ``abs`` is 0 for zero and 1 otherwise, so a pivot search by
+    largest magnitude (``solve_blocks``) picks a nonzero entry; equal
+    residues hash equally, so columns can be looked up in a set.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = int(v) % P
+
+    def __add__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp((self.v + o) % P)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp((self.v - o) % P)
+
+    def __rsub__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp((o - self.v) % P)
+
+    def __mul__(self, other):
+        if type(other) is Zp:   # the hot path of apply and build_p
+            return _zp(self.v * other.v % P)
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp(self.v * o % P)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp(self.v * _inverse(o) % P)
+
+    def __rtruediv__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else _zp(o * _inverse(self.v) % P)
+
+    def __pow__(self, e):
+        return _zp(pow(self.v, int(e), P))
+
+    def __neg__(self):
+        return _zp(-self.v % P)
+
+    def __abs__(self):
+        return 1 if self.v else 0
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __eq__(self, other):
+        o = _residue_of(other)
+        return NotImplemented if o is None else self.v == o
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"Zp({self.v})"
+
+
+def _zp(v: int) -> Zp:
+    """A Zp from a residue already in [0, P), skipping the reduction."""
+    z = object.__new__(Zp)
+    z.v = v
+    return z
+
+
+def _inverse(v: int) -> int:
+    if v == 0:
+        raise ZeroDivisionError("division by zero in F_P")
+    return pow(v, -1, P)
+
+
+def _residue_of(x):
+    """x's residue mod P if x is a Zp or an integer, else None."""
+    if isinstance(x, Zp):
+        return x.v
+    if isinstance(x, (int, np.integer)):
+        return int(x) % P
+    return None
+
+
+def zp_array(values) -> np.ndarray:
+    """Object array of ``Zp`` residues of an integer array-like, same shape."""
+    ints = np.asarray(values)
+    out = np.empty(ints.size, dtype=object)
+    out[:] = [Zp(v) for v in ints.flat]
+    return out.reshape(ints.shape)
+
 
 def is_exact(m: np.ndarray) -> bool:
     return m.dtype == object
@@ -62,12 +162,17 @@ def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     whose blocks are its trailing two axes, and gets that matrix's rank:
     the sum of the block ranks, with the float cutoff taken from the
     largest singular value of any block and the full matrix's size.
+    Rational matrices are eliminated block by block; prime-field ones in
+    one batched elimination over all blocks.
     """
     if m.size == 0:
         raise EmptyMatrix(f"rank of empty {m.shape} matrix")
     rows, cols = m.shape[-2:]
     if is_exact(m):
-        return sum(_rank_exact(b) for b in m.reshape(-1, rows, cols))
+        blocks = m.reshape(-1, rows, cols)
+        if any(isinstance(x, Zp) for x in m.flat):
+            return _rank_modp(blocks)
+        return sum(_rank_exact(b) for b in blocks)
     s = np.linalg.svd(_equilibrated(m), compute_uv=False)
     s_max = s.max()
     if s_max == 0.0:
@@ -172,6 +277,42 @@ def _rank_exact(m: np.ndarray) -> int:
         if piv_r == nrows:
             break
     return piv_r
+
+
+def _rank_modp(blocks: np.ndarray) -> int:
+    """Sum of the ranks over F_P of a (blocks, rows, cols) ``Zp`` array.
+
+    Entries may also be integers, such as the zeros ``np.diag`` fills in.
+
+    Gaussian elimination on the int64 residues of every block at once, one
+    column per step; each block keeps its own pivot count.  A row update
+    row <- pivot * row - f * pivot_row is invertible because the pivot is
+    a unit, so no inverses are needed.  Residues are below 2**31, so each
+    product stays below 2**62 and is reduced before the next one.
+    """
+    a = np.array([z.v if type(z) is Zp else _residue_of(z)
+                  for z in blocks.flat], dtype=np.int64).reshape(blocks.shape)
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1).copy()   # fewer columns, fewer steps
+    n_blocks, nrows, ncols = a.shape
+    ranks = np.zeros(n_blocks, dtype=np.intp)
+    row_ids = np.arange(nrows)
+    for col in range(ncols):
+        cand = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
+        live = np.flatnonzero(cand.any(axis=1))
+        if live.size == 0:
+            continue
+        src, dst = np.argmax(cand[live], axis=1), ranks[live]
+        pivot_rows = a[live, src, col:]
+        a[live, src, col:] = a[live, dst, col:]
+        a[live, dst, col:] = pivot_rows
+        f = np.where(row_ids > dst[:, None], a[live, :, col], 0)
+        a[live, :, col:] = (a[live, :, col:] * pivot_rows[:, None, :1]
+                            - f[:, :, None] * pivot_rows[:, None, :]) % P
+        ranks[live] += 1
+        if ranks.min() == nrows:
+            break
+    return int(ranks.sum())
 
 
 def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:

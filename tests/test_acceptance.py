@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
-Float-mode rank failures are arbitrated by a bit-exact rerun of the same
+Float-mode rank failures are arbitrated by a prime-field rerun of the same
 seed (run_certified); only an exact-mode failure counts.
 """
 
@@ -153,33 +153,22 @@ def test_criterion_6_convergence():
     # sum(d) = 4/3, the max sum DoF of criterion 2) that is
     # 48/49 <= 52/49 <= 4/3 at n=6.  A single-factor rate,
     # (n/(n+1)) * sum(d) = 8/7 at n=6, would need an expansion shorter than
-    # the paper's (ROADMAP item 5); the paper claims the region only in
+    # the paper's (ROADMAP item 4); the paper claims the region only in
     # the limit n -> infinity.
     gamma = sum(n_i * max(S1_CFG.lb - n_i, 0)
                 for n_i in (S1_CFG.n1, S1_CFG.n2))
     total = sum(S1_D.as_vector())
-    rational_cap = channel.RATIONAL_NUM_HI - channel.RATIONAL_NUM_LO + 1
     ratios_by_msg = {m: [] for m in precoder.message_ids(S1_CFG)}
     sum_at = {}
     closed_ok = certified_ok = True
-    certified, uncertified = [], []
+    certified = []
     for n in range(1, 7):
         pl = precoder.plan(S1_CFG, S1_D, n)
-        if n <= 3:
-            r = verify.run_certified(S1_CFG, S1_D, n, 31, TOL)
-            certified_ok = certified_ok and r.passed
-            certified.append(f"n={n} {r.mode} pass={r.passed}")
-        else:
-            # Exact reruns are left out: n=4's takes about 17 s on a 2-core
-            # x86 host, and n=5, 6 exceed the rational-mode slot cap.  Their
-            # float ranks are reported, not certified.
-            r = verify.run_experiment(S1_CFG, S1_D, n, 31, "float", TOL)
-            why = (f"mu_n={pl.mu_n} > {rational_cap}-slot rational cap"
-                   if pl.mu_n > rational_cap else "exact rerun left out for time")
-            uncertified.append(
-                f"n={n} float Lambda ranks {r.lambda1['rank']}/"
-                f"{r.lambda1['cols']}, {r.lambda2['rank']}/"
-                f"{r.lambda2['cols']} ({why})")
+        r = verify.run_certified(S1_CFG, S1_D, n, 31, TOL)
+        certified_ok = certified_ok and r.passed
+        certified.append(f"n={n} {r.mode} pass={r.passed} Lambda ranks "
+                         f"{r.lambda1['rank']}/{r.lambda1['cols']}, "
+                         f"{r.lambda2['rank']}/{r.lambda2['cols']}")
         for mid, a in r.achieved.items():
             ratios_by_msg[mid].append(a["ratio"])
             closed_ok = closed_ok and a["ratio"] == verify.expected_ratio(pl, mid)
@@ -193,8 +182,7 @@ def test_criterion_6_convergence():
             f"ratios match (n/(n+1))^G exactly and increase strictly: "
             f"{closed_ok and monotone}; (n/(n+1))^{gamma}*{total} <= sum "
             f"<= {total}, increasing, n=1..6: {rate_ok} (sum at n=6 = "
-            f"{sum_at[6]} >= {lower[6]}); certified: {', '.join(certified)}; "
-            f"uncertified: {'; '.join(uncertified)}")
+            f"{sum_at[6]} >= {lower[6]}); certified: {'; '.join(certified)}")
 
 
 def test_criterion_7_lemma1_property_suite():

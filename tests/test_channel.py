@@ -14,6 +14,8 @@ from sigma_align.region import SigmaConfig
 def in_mode(mode, ints):
     if mode == "rational":
         return numerics.exact_matrix(ints)
+    if mode == "modp":
+        return numerics.zp_array(ints)
     return np.asarray(ints, float)
 
 
@@ -53,6 +55,16 @@ def test_draw_rational_values(s1_cfg):
     for u in range(2):
         series = [d.h_b1[u, 0, t] for t in range(12)]
         assert len(set(series)) == 12
+
+
+def test_draw_modp_values(s1_cfg):
+    d = draw(s1_cfg, 200, seed=1, mode="modp")
+    vals = list(d.h_b1.flat) + list(d.h_b2.flat)
+    assert d.h_b1.dtype == object
+    assert all(type(v) is numerics.Zp and 0 < v.v < numerics.P
+               for v in vals)
+    assert draw(s1_cfg, 200, seed=1, mode="modp").h_b1.tolist() \
+        == d.h_b1.tolist()
 
 
 def test_draw_rational_slot_cap(s1_cfg):
@@ -95,7 +107,7 @@ def test_expand_unknown_path(s1_cfg):
 def _reference_apply(h, v):
     """Dense block-diagonal H_tilde built entry by entry, times v."""
     n_ant, mu_n = h.shape
-    zero = Fraction(0) if numerics.is_exact(h) else 0.0
+    zero = h.flat[0] * 0
     dense = np.full((n_ant * mu_n, mu_n), zero, dtype=h.dtype)
     for t in range(mu_n):
         for a in range(n_ant):
@@ -104,7 +116,7 @@ def _reference_apply(h, v):
 
 
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 4),
-       st.sampled_from(["float", "rational"]), st.integers(0, 2 ** 16))
+       st.sampled_from(["float", "rational", "modp"]), st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
 def test_apply_matches_dense_block_diagonal(n_ant, mu_n, ncols, mode, seed):
     cfg = SigmaConfig(n_ant, 1, 1, 0, 0)
@@ -147,7 +159,7 @@ def test_stack_blocks_are_the_dense_stack(big_cfg):
     assert np.count_nonzero(permuted) == 0
 
 
-@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_stack_identical_members_singular(big_cfg, mode):
     # Negative control: two set members with the same channel leave every
     # slot's block with two equal columns.
@@ -174,7 +186,7 @@ def test_compute_t_exact_ratios(s1_cfg):
         assert diag[slot] == d.h_b1[1, 0, slot] / d.h_b1[0, 0, slot]
 
 
-@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_compute_t_diagonal_and_reconstructs(mode):
     # H_tilde_j = sum_k H_tilde_{s_k} diag(T_k), each T_k a diagonal
     cfg = SigmaConfig(2, 2, 0, 3, 0)
@@ -185,7 +197,7 @@ def test_compute_t_diagonal_and_reconstructs(mode):
     recon = sum(apply(d, ("b", 1, s), np.diag(t))
                 for s, t in zip((1, 2), diags))
     target = dense_expansion(d, ("b", 1, 3))
-    if mode == "rational":
+    if mode != "float":
         assert all(recon[i, j] == target[i, j]
                    for i in range(16) for j in range(8))
     else:

@@ -118,6 +118,51 @@ def test_bad_seed_env_is_an_error_line(tmp_path, argv):
     assert "abc" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--m", "3", "--trials", "0"],
+    ["ia", "sweep", "--config", "CONFIG", "--n", "3", "--n-max", "2"],
+    ["ia", "run", "--config", "CONFIG", "--n-max", "0"],
+], ids=["lemma1-trials-zero", "sweep-n-max-below-n", "run-n-max-below-n"])
+def test_vacuous_runs_are_an_error_line(tmp_path, argv):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(S1_CONFIG))
+    proc = run_cli_process([str(p) if a == "CONFIG" else a for a in argv])
+    assert_error_line(proc)
+
+
+def test_ia_run_without_mode_is_certified(tmp_path):
+    # float reports Lambda rank 29/33 here; the modp rerun decides
+    p = tmp_path / "s1n3.json"
+    p.write_text(json.dumps({k: v for k, v in S1_CONFIG.items()
+                             if k != "mode"} | {"n": 3, "seed": 31,
+                                                "trials": 1}))
+    proc = run_cli_process(["ia", "run", "--config", str(p)])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["all_pass"] is True
+    assert [t["mode"] for t in doc["trials"]] == ["modp"]
+    assert doc["trials"][0]["lambda1"]["rank"] == 33
+    assert doc["config"]["mode"] is None
+    assert set(doc["config"]["distributions"]) == {"float", "rational",
+                                                   "modp"}
+    explicit = run_cli_process(["ia", "run", "--config", str(p),
+                                "--mode", "float"])
+    assert explicit.returncode == 2
+    assert json.loads(explicit.stdout)["trials"][0]["mode"] == "float"
+
+
+def test_ia_sweep_without_mode_is_certified(tmp_path, capsys):
+    p = tmp_path / "s1.json"
+    p.write_text(json.dumps({k: v for k, v in S1_CONFIG.items()
+                             if k != "mode"} | {"seed": 31, "trials": 1}))
+    code, out = run_cli(["ia", "sweep", "--config", str(p), "--n", "2",
+                         "--n-max", "3"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["pass"] for r in rows] == ["True", "True"]
+    assert [r["sum_per_slot"] for r in rows] == ["20/27", "7/8"]
+
+
 def test_region_check_bad_rational(tmp_path, capsys):
     cfg = dict(S1_CONFIG)
     cfg["d"] = {"db1": ["1/0", "1/3"], "db2": ["1/3", "1/3"]}

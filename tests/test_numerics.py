@@ -32,6 +32,17 @@ def test_rank_empty_matrix_rejected():
 def test_rank_zero_matrix():
     assert rank(np.zeros((4, 4))) == 0
     assert rank(np.full((4, 4), Fraction(0), dtype=object)) == 0
+    assert rank(numerics.zp_array(np.zeros((4, 4), dtype=int))) == 0
+
+
+def test_modp_rank_with_integer_zeros():
+    # np.diag and np.zeros(..., dtype=object) fill in Python int zeros
+    z = numerics.zp_array([3, 5])
+    assert rank(np.diag(z)) == 2
+    m = np.zeros((2, 2), dtype=object)
+    m[1, :] = z
+    assert rank(m) == 1
+    assert rank(np.stack([m, np.diag(z)])) == 3
 
 
 def test_rank_monomial_tall_matrix():
@@ -142,6 +153,87 @@ def test_float_rank_matches_exact_rank(nrows, ncols, data):
     assert rank(m.astype(float)) == rank(m)
 
 
+# Hadamard: a 5x5 minor with entries in [-9, 9] is at most (9 * 5 ** 0.5) ** 5
+# < 3.4e6 < P in absolute value, so it vanishes mod P only if it is zero,
+# and the rank over F_P equals the rank over Q.
+@st.composite
+def small_integer_matrix(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-9, 9)
+    if draw(st.booleans()):
+        return np.array([[draw(entries) for _ in range(ncols)]
+                         for _ in range(nrows)])
+    # a product of thin factors: rank at most k, so rank-deficient
+    # whenever both sides exceed k; entries stay within [-6, 6]
+    k = draw(st.integers(1, 2))
+    f = np.array([[draw(st.integers(-3, 3)) for _ in range(k)]
+                  for _ in range(nrows)])
+    g = np.array([[draw(st.integers(-1, 1)) for _ in range(ncols)]
+                  for _ in range(k)])
+    return f @ g
+
+
+@given(small_integer_matrix())
+@settings(max_examples=300, deadline=None)
+def test_modp_rank_matches_exact_rank(ints):
+    assert np.abs(ints).max() <= 9
+    exact = numerics._rank_exact(exact_matrix(ints))
+    assert rank(numerics.zp_array(ints)) == exact
+    assert rank(numerics.zp_array(ints.T)) == exact
+
+
+@given(small_integer_matrix(), st.integers(1, 6), st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_modp_rank_of_stack_is_sum_of_block_ranks(b0, n_blocks, seed):
+    # one shape; even blocks are b0 times -1, 0 or 1, odd blocks random,
+    # so block ranks differ within the stack
+    rng = np.random.default_rng(seed)
+    blocks = [b0 * int(rng.integers(-1, 2)) if t % 2 == 0
+              else rng.integers(-9, 10, size=b0.shape)
+              for t in range(n_blocks)]
+    stack = numerics.zp_array(np.stack(blocks))
+    expected = sum(numerics._rank_exact(exact_matrix(b)) for b in blocks)
+    assert rank(stack) == expected
+
+
+_INT_OPS = {
+    "add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+}
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70),
+       st.integers(0, 200))
+@settings(max_examples=300, deadline=None)
+def test_zp_arithmetic_matches_int_mod_p(x, y, e):
+    p = numerics.P
+    zx, zy = numerics.Zp(x), numerics.Zp(y)
+    assert zx.v == x % p and 0 <= zx.v < p
+    for op in _INT_OPS.values():
+        want = op(x, y) % p
+        assert op(zx, zy).v == want
+        assert op(zx, y).v == want          # integer on the right
+        assert op(x, zy).v == want          # integer on the left
+        assert op(zx, np.int64(y % 2 ** 62)).v == op(x, y % 2 ** 62) % p
+    assert (-zx).v == -x % p
+    assert (zx ** e).v == pow(x, e, p)
+    assert abs(zx) == (0 if x % p == 0 else 1)
+    assert bool(zx) == (x % p != 0)
+    assert (zx == zy) == (x % p == y % p)
+    assert (zx == y) == (x % p == y % p)
+    assert hash(zx) == hash(numerics.Zp(x + 5 * p))
+    if y % p:
+        assert ((zx / zy) * zy).v == x % p
+        assert ((x / zy) * zy).v == x % p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            zx / zy
+    with pytest.raises(TypeError):
+        zx + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        zx * 0.5
+
+
 def _block_diag(blocks):
     nb, r, c = blocks.shape
     zero = Fraction(0) if numerics.is_exact(blocks) else 0.0
@@ -186,6 +278,12 @@ def test_solve_blocks_both_modes(n_blocks, n, k, seed):
     assert ex.dtype == object
     for t in range(n_blocks):
         assert np.array_equal(numerics.matmul(ea[t], ex[t]), eb[t])
+    # |det a| <= (25 * 3 ** 0.5) ** 3 < P, so a is invertible mod P too
+    za, zb = numerics.zp_array(a), numerics.zp_array(b)
+    zx = numerics.solve_blocks(za, zb)
+    assert all(type(x) is numerics.Zp for x in zx.flat)
+    for t in range(n_blocks):
+        assert np.array_equal(numerics.matmul(za[t], zx[t]), zb[t])
 
 
 def test_solve_blocks_shape_mismatch():

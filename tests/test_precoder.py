@@ -151,7 +151,7 @@ def _reference_build_p(t_diags, tuples, mu_n, one):
     return out
 
 
-@given(st.sampled_from(["float", "rational"]), st.integers(1, 3),
+@given(st.sampled_from(["float", "rational", "modp"]), st.integers(1, 3),
        st.integers(1, 2), st.integers(1, 3), st.integers(1, 8),
        st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
@@ -162,6 +162,10 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
                              rng.integers(-128, 129, size=mu_n)], dtype=object)
                    for _ in range(gamma)]
         one = Fraction(1)
+    elif mode == "modp":
+        t_diags = [numerics.zp_array(rng.integers(0, numerics.P, size=mu_n))
+                   for _ in range(gamma)]
+        one = numerics.Zp(1)
     else:
         t_diags = list(rng.uniform(-4.0, 4.0, size=(gamma, mu_n)))
         one = 1.0
@@ -170,9 +174,9 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
         p = build_p(t_diags, tuples, mu_n)
         ref = _reference_build_p(t_diags, tuples, mu_n, one)
         assert p.shape == ref.shape == (mu_n, len(tuples))
-        if mode == "rational":
+        if mode != "float":
             assert p.dtype == object
-            assert all(type(x) is Fraction for x in p.flat)
+            assert all(type(x) is type(one) for x in p.flat)
             assert np.array_equal(p, ref)
         else:
             # numpy's vectorised power may differ from the scalar one by an
@@ -184,7 +188,7 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
         build_p(t_diags, [ExponentTuple(m=0, alphas=(1,) * (gamma + 1))], mu_n)
 
 
-@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_assemble_s1(s1_cfg, s1_point, mode):
     pl = plan(s1_cfg, s1_point, 1)
     dr = channel.draw(s1_cfg, pl.mu_n, 7, mode)

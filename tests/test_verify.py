@@ -38,6 +38,14 @@ def test_alignment_negative_perturbation(s1_cfg, s1_point):
     assert not res["column_subset_ok"]
 
 
+def test_alignment_negative_perturbation_modp(s1_cfg, s1_point):
+    _, _, t_set, ps = construction(s1_cfg, s1_point, 1, 3, "modp")
+    assert check_alignment(ps, t_set)["column_subset_ok"]
+    ps.p22 = ps.p22.copy()
+    ps.p22[0, 0] += 1
+    assert not check_alignment(ps, t_set)["column_subset_ok"]
+
+
 BIG_POINT = DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3)
 GROUPED = (SigmaConfig(2, 2, 1, 3, 1),
            DofPoint.make(da=["1/2"], db1=["1/6"] * 3, db2=["1/6"] * 3,
@@ -171,8 +179,31 @@ def test_lemma1_vandermonde():
 
 def test_lemma1_duplicate_columns():
     for seed in range(50):
-        assert not lemma1_test(3, 2, duplicate_column_exponents, seed=seed,
-                               claim_valid=False)
+        for mode in ("float", "modp"):
+            assert not lemma1_test(3, 2, duplicate_column_exponents,
+                                   seed=seed, mode=mode, claim_valid=False)
+
+
+def test_lemma1_modp_matches_rational():
+    # 1008 seeded (m, k, seed) cases, each with a valid and a
+    # duplicate-column generator, in both exact modes.
+    disagree = []
+    for m in range(2, 8):
+        for k in (1, 2, 3):
+            for seed in range(56):
+                for gen, valid in ((random_valid_exponents, True),
+                                   (duplicate_column_exponents, False)):
+                    zp, q = (lemma1_test(m, k, gen, seed, mode,
+                                         claim_valid=valid)
+                             for mode in ("modp", "rational"))
+                    assert zp == valid
+                    if zp != q:
+                        disagree.append((m, k, seed, gen.__name__))
+    # Rational mode draws each variable from 97 values, so two rows of one
+    # matrix can get the same variable and the same exponents.  That
+    # happens once here: rows 1 and 3 of the m=3, k=1, seed=26 matrix are
+    # both 2^3, 2^1, 2^2, so its determinant is exactly 0 at that point.
+    assert disagree == [(3, 1, 26, "random_valid_exponents")]
 
 
 def test_lemma1_invalid_generator_flagged():
@@ -206,7 +237,37 @@ def test_run_certified_falls_back_to_exact(s1_cfg, s1_point):
     # n=3 exponents overwhelm float precision; exact mode must settle it
     r = run_certified(s1_cfg, s1_point, 3, 0)
     assert r.passed
-    assert r.mode == "rational"
+    assert r.mode == "modp"
+
+
+def test_run_certified_past_the_rational_slot_cap(s1_cfg, s1_point):
+    # mu_n = 108 > 97: float reports 44/85, rational cannot draw it
+    assert not run_experiment(s1_cfg, s1_point, 5, 31, "float").passed
+    r = run_certified(s1_cfg, s1_point, 5, 31)
+    assert r.passed and r.mode == "modp"
+    assert r.lambda1 == r.lambda2 == {"rows": 108, "cols": 85, "rank": 85,
+                                      "full": True}
+
+
+def _verdicts(report):
+    """Everything a report says except how the draw was made."""
+    doc = report.to_dict()
+    for key in ("mode", "seed", "retries"):
+        del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("shape, n, seeds", [
+    ("s1", 1, (0, 1, 2)), ("s1", 2, (0, 1, 2)), ("s1", 3, (0, 1, 2)),
+    ("s1", 4, (31,)), ("big", 1, (0, 1, 2))])
+def test_modp_verdicts_match_rational(shape, n, seeds, request):
+    cfg = request.getfixturevalue(f"{shape}_cfg")
+    d = request.getfixturevalue(f"{shape}_point")
+    for seed in seeds:
+        exact = run_experiment(cfg, d, n, seed, "rational")
+        modp = run_experiment(cfg, d, n, seed, "modp")
+        assert exact.passed and modp.mode == "modp"
+        assert _verdicts(modp) == _verdicts(exact)
 
 
 def test_report_roundtrip(s1_cfg, s1_point):
