@@ -6,7 +6,7 @@ then sweeps the expansion order n to watch the achieved DoF approach the
 target.
 """
 
-from sigma_align import (DofPoint, SigmaConfig, numerics, precoder, verify)
+from sigma_align import DofPoint, SigmaConfig, precoder, verify
 
 cfg = SigmaConfig(n1=1, n2=1, la=0, lb=2, lc=0)
 d = DofPoint.make(db1=["1/3", "1/3"], db2=["1/3", "1/3"])
@@ -31,8 +31,7 @@ for n in range(1, 5):
     print(f"  n={n}: sum={r.sum_per_slot} = {float(r.sum_per_slot):.4f}")
 
 # float arithmetic gives out at larger n; certification reruns the same
-# seed in exact rational arithmetic before trusting any failure
-certified = verify.run_certified(cfg, d, n=3, seed=0,
-                                 tol=numerics.DEFAULT_TOL)
+# seed in exact prime-field (modp) arithmetic before trusting any failure
+certified = verify.run_certified(cfg, d, n=3, seed=0)
 print(f"\ncertified n=3 run: passed={certified.passed} "
       f"(settled in {certified.mode} mode)")

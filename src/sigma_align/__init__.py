@@ -2,7 +2,6 @@
 interference-alignment achievability scheme, certified by exact and
 floating-point rank checks."""
 
-from .numerics import Tolerance, DEFAULT_TOL
 from .region import (SigmaConfig, DofPoint, Constraint, enumerate_constraints,
                      check_point, check_point_bruteforce, mu0, max_sum_dof)
 from .channel import ChannelDraw, draw, apply, stack, compute_t

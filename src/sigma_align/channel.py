@@ -26,7 +26,6 @@ import numpy as np
 from . import numerics
 from .errors import (DimensionMismatch, SingularStack, SlotCapExceeded,
                      UnknownPath)
-from .numerics import DEFAULT_TOL, Tolerance
 from .region import SigmaConfig
 
 RATIONAL_DEN = 64
@@ -132,8 +131,7 @@ def apply(draw: ChannelDraw, path, v: np.ndarray) -> np.ndarray:
     return (h.T[:, :, None] * v[:, None, :]).reshape(n_ant * mu_n, v.shape[1])
 
 
-def stack(draw: ChannelDraw, i: int, s_set,
-          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def stack(draw: ChannelDraw, i: int, s_set) -> np.ndarray:
     """Per-slot blocks of the stack [H_tilde(b, i, j) for j in s_set].
 
     Returns a (mu_n, N_i, N_i) array whose block t holds, in column k, the
@@ -146,14 +144,13 @@ def stack(draw: ChannelDraw, i: int, s_set,
     if len(s_set) != n_i:
         raise ValueError(f"need exactly {n_i} set members, got {len(s_set)}")
     blocks = np.stack([_series(draw, ("b", i, j)).T for j in s_set], axis=-1)
-    if numerics.rank(blocks, tol) != n_i * draw.mu_n:
+    if numerics.rank(blocks) != n_i * draw.mu_n:
         raise SingularStack(
             f"stacked channel at BS {i}, set {s_set}, seed {draw.seed}")
     return blocks
 
 
-def compute_t(draw: ChannelDraw, i: int, j: int, s_set,
-              tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def compute_t(draw: ChannelDraw, i: int, j: int, s_set) -> list[np.ndarray]:
     """The N_i T diagonals relating user j's channel to the stack at BS i.
 
     T_k is the length-mu_n diagonal with
@@ -162,7 +159,7 @@ def compute_t(draw: ChannelDraw, i: int, j: int, s_set,
     """
     if j in s_set:
         raise ValueError(f"user {j} is in the alignment set {tuple(s_set)}")
-    blocks = stack(draw, i, s_set, tol)
+    blocks = stack(draw, i, s_set)
     target = _series(draw, ("b", i, j)).T[:, :, None]
     try:
         x = numerics.solve_blocks(blocks, target)

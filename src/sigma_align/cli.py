@@ -4,7 +4,8 @@ Subcommands: ``region check``, ``region max-sum``, ``ia run``,
 ``ia sweep``, ``lemma1``.  Configuration is a JSON document (rationals as
 "p/q" strings); command line flags override config fields, and
 SIGMA_ALIGN_SEED is the seed fallback.  Exit codes: 0 pass/feasible,
-2 domain-negative (infeasible point or failed certification), 1 error.
+2 domain-negative (infeasible point or failed certification), 1 error,
+usage errors included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from . import precoder, region, verify
 from .channel import MODES
 from .errors import InfeasiblePoint, ParseError, SigmaAlignError
-from .numerics import Tolerance
 from .region import DofPoint, SigmaConfig
 
 EXIT_OK = 0
@@ -56,12 +56,9 @@ def load_config(path: str, args) -> dict:
             tuple(_parse_fraction(x) for x in dd.get("db1", [])),
             tuple(_parse_fraction(x) for x in dd.get("db2", [])),
             tuple(_parse_fraction(x) for x in dd.get("dc", [])))
-        tol_cfg = raw.get("tol", {})
-        tol = Tolerance(
-            rel_rank_tol=float(_flag_or(args, "tol_rank",
-                                        tol_cfg.get("rank", 1e-9))),
-            col_match_tol=float(_flag_or(args, "tol_match",
-                                         tol_cfg.get("match", 1e-8))))
+        if "tol" in raw:
+            raise ParseError('config field "tol" was removed: the float '
+                             'thresholds are fixed in sigma_align.numerics')
         n = int(_flag_or(args, "n", raw.get("n", 1)))
         rc = {
             "cfg": cfg,
@@ -71,7 +68,6 @@ def load_config(path: str, args) -> dict:
             "seed": _resolve_seed(_flag_or(args, "seed", raw.get("seed"))),
             "trials": int(_flag_or(args, "trials", raw.get("trials", 1))),
             "mode": _flag_or(args, "mode", raw.get("mode")),
-            "tol": tol,
         }
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad config: {e}") from e
@@ -115,8 +111,6 @@ def resolved_config_doc(rc: dict) -> dict:
               "dc": [_frac_str(x) for x in d.dc]},
         "n": rc["n"], "n_max": rc["n_max"], "seed": rc["seed"],
         "trials": rc["trials"], "mode": rc["mode"],
-        "tol": {"rank": rc["tol"].rel_rank_tol,
-                "match": rc["tol"].col_match_tol},
         "distributions": {
             "float": "log-uniform on [1/2, 2]",
             "rational": "k/64, k in {32..128}, no repeats per series",
@@ -178,10 +172,8 @@ def _run_trials(rc, n):
     """
     def run(seed):
         if rc["mode"] is None:
-            return verify.run_certified(rc["cfg"], rc["d"], n, seed,
-                                        rc["tol"])
-        return verify.run_experiment(rc["cfg"], rc["d"], n, seed,
-                                     rc["mode"], rc["tol"])
+            return verify.run_certified(rc["cfg"], rc["d"], n, seed)
+        return verify.run_experiment(rc["cfg"], rc["d"], n, seed, rc["mode"])
     return [run(rc["seed"] + 1000 * t) for t in range(rc["trials"])]
 
 
@@ -263,8 +255,15 @@ def cmd_lemma1(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sigma-align")
+    p = _Parser(prog="sigma-align")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int)
         sp.add_argument("--trials", type=int)
         sp.add_argument("--mode", choices=MODES)
-        sp.add_argument("--tol-rank", type=float, dest="tol_rank")
-        sp.add_argument("--tol-match", type=float, dest="tol_match")
         sp.add_argument("--n", type=int)
         sp.add_argument("--n-max", type=int, dest="n_max")
         sp.add_argument("--out")

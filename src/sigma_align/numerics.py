@@ -5,15 +5,15 @@ object means an exact mode, with ``fractions.Fraction`` entries (rational
 mode) or ``Zp`` entries, residues modulo the prime P (modp mode).  The
 channel draw picks the dtype, and the rest of the package computes with
 numpy expressions that work on each; this module is the one place that
-branches on it (``rank`` and ``columns_subset_of``).  A stack of
-square blocks along a leading axis stands for the block-diagonal matrix
-they form; ``rank`` and ``solve_blocks`` work on it block by block.
+branches on it (``rank`` and ``columns_subset_of``), and the only one
+that holds float thresholds.  A stack of blocks along a leading axis
+stands for the block-diagonal matrix they form; ``solve_blocks`` and the
+modp ``rank`` treat all of its blocks in one batched elimination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,25 +21,15 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyMatrix
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Thresholds used only in float mode; exact mode compares exactly.
-
-    rel_rank_tol: singular values below rel_rank_tol * s_max * max(rows, cols)
-    are treated as zero.  col_match_tol: relative max-norm threshold for
-    column equality; column a_j matches column b_k when
-    max|a_j - b_k| <= col_match_tol * max(1, max|b_k|).
-    """
-
-    rel_rank_tol: float = 1e-9
-    col_match_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.rel_rank_tol <= 0 or self.col_match_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+# Float-mode thresholds; exact modes compare exactly.  They are fixed,
+# not settable: a float pass is returned without an exact rerun, so the
+# cutoff that makes it a pass is part of the certification rule.
+# Singular values s <= REL_RANK_TOL * s_max * blocks * max(rows, cols)
+# count as zero (after equilibration).
+REL_RANK_TOL = 1e-9
+# Column a_j equals column b_k when
+# max|a_j - b_k| <= COL_MATCH_TOL * max(1, max|b_k|).
+COL_MATCH_TOL = 1e-8
 
 P = 2 ** 31 - 1   # a Mersenne prime; residues below 2**31 multiply in int64
 
@@ -155,7 +145,7 @@ def exact_matrix(rows) -> np.ndarray:
     return out
 
 
-def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+def rank(m: np.ndarray) -> int:
     """Rank of a dense matrix: exact elimination or SVD depending on mode.
 
     An array with more than two axes stands for the block-diagonal matrix
@@ -178,7 +168,7 @@ def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     if s_max == 0.0:
         return 0
     n_blocks = m.size // (rows * cols)
-    cutoff = tol.rel_rank_tol * s_max * n_blocks * max(rows, cols)
+    cutoff = REL_RANK_TOL * s_max * n_blocks * max(rows, cols)
     return int(np.sum(s > cutoff))
 
 
@@ -202,30 +192,28 @@ def _equilibrated(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def subspace_contains(a: np.ndarray, b: np.ndarray,
-                      tol: Tolerance = DEFAULT_TOL) -> bool:
+def subspace_contains(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff the column span of ``a`` lies inside the column span of ``b``."""
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if a.shape[1] == 0:
         return True
-    return rank(np.hstack([a, b]), tol) == rank(b, tol)
+    return rank(np.hstack([a, b])) == rank(b)
 
 
-def columns_subset_of(a: np.ndarray, b: np.ndarray,
-                      tol: Tolerance = DEFAULT_TOL) -> bool:
+def columns_subset_of(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff every column of ``a`` equals some column of ``b``.
 
     Stronger than span containment: equality is exact in exact mode and,
-    in float mode, within ``col_match_tol`` relative to the scale of the
-    column of ``b`` (see ``Tolerance``).
+    in float mode, within ``COL_MATCH_TOL`` relative to the scale of the
+    column of ``b``.
     """
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if is_exact(a):
         cols = set(map(tuple, b.T))
         return all(tuple(col) in cols for col in a.T)
-    bound = tol.col_match_tol * np.maximum(
+    bound = COL_MATCH_TOL * np.maximum(
         1.0, np.max(np.abs(b), axis=0, initial=0.0))
     return all(np.any(np.max(np.abs(b - col[:, None]), axis=0, initial=0.0)
                       <= bound)

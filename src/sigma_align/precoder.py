@@ -17,7 +17,6 @@ import numpy as np
 from . import channel as channel_mod
 from . import numerics, region
 from .errors import (InconsistentPlan, InfeasiblePoint, RankDeficientRandom)
-from .numerics import DEFAULT_TOL, Tolerance
 from .region import DofPoint, SigmaConfig
 
 
@@ -192,12 +191,12 @@ def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
     return np.prod(x[:, None, :] ** alphas, axis=-1)
 
 
-def _random_full_rank(rng, mu_n, ncols, mode, tol, what):
+def _random_full_rank(rng, mu_n, ncols, mode, what):
     """Random bounded matrix, full column rank checked with one retry."""
     for _ in range(2):
         m = channel_mod._draw_block(rng, 1, mu_n, max(ncols, 1),
                                     mode)[0][:, :ncols]
-        if ncols == 0 or numerics.rank(m, tol) == ncols:
+        if ncols == 0 or numerics.rank(m) == ncols:
             return m
     raise RankDeficientRandom(what)
 
@@ -215,30 +214,28 @@ class TSet:
         return sorted(d.keys())
 
 
-def compute_t_set(draw: channel_mod.ChannelDraw, pl: AlignmentPlan,
-                  tol: Tolerance = DEFAULT_TOL) -> TSet:
+def compute_t_set(draw: channel_mod.ChannelDraw, pl: AlignmentPlan) -> TSet:
     """All T diagonals needed by the construction (may be empty per side)."""
     bs1, bs2 = {}, {}
     if pl.need_align_bs1:
         for j in range(1, pl.cfg.lb + 1):
             if j in pl.s2:
                 continue
-            blocks = channel_mod.compute_t(draw, 1, j, pl.beta(2), tol)
+            blocks = channel_mod.compute_t(draw, 1, j, pl.beta(2))
             for l, blk in enumerate(blocks, start=1):
                 bs1[(l, j)] = blk
     if pl.need_align_bs2:
         for j in range(1, pl.cfg.lb + 1):
             if j in pl.s1:
                 continue
-            blocks = channel_mod.compute_t(draw, 2, j, pl.beta(1), tol)
+            blocks = channel_mod.compute_t(draw, 2, j, pl.beta(1))
             for l, blk in enumerate(blocks, start=1):
                 bs2[(l, j)] = blk
     return TSet(bs1=bs1, bs2=bs2)
 
 
 def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
-             seed: int, tol: Tolerance = DEFAULT_TOL,
-             t_set: TSet | None = None) -> PrecoderSet:
+             seed: int, t_set: TSet | None = None) -> PrecoderSet:
     """Build the structured matrices and every message's beamformer.
 
     Set members get [structured block | random tail]; out-of-set shared
@@ -251,7 +248,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     mode = draw.mode
     rng = np.random.default_rng(seed)
     if t_set is None:
-        t_set = compute_t_set(draw, pl, tol)
+        t_set = compute_t_set(draw, pl)
     bars = target_bar_dofs(pl, d)
     ps = PrecoderSet(plan=pl, p11=None, p12=None, p21=None, p22=None)
 
@@ -278,7 +275,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
                 q_cols = bar - p_shared.shape[1]
                 if q_cols < 0:
                     raise InconsistentPlan(f"{mid}: target below shared block")
-                q = _random_full_rank(rng, pl.mu_n, q_cols, mode, tol, mid)
+                q = _random_full_rank(rng, pl.mu_n, q_cols, mode, mid)
                 ps.q[mid] = q
                 ps.v[mid] = p_shared if q_cols == 0 else np.hstack([p_shared, q])
             else:
@@ -291,8 +288,7 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     def random_side(i):
         for j in range(1, pl.cfg.lb + 1):
             mid = f"b{i}_{j}"
-            ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode,
-                                          tol, mid)
+            ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, mid)
 
     if pl.need_align_bs2:
         structured_side(1, pl.s1, ps.p11, ps.p12)
@@ -305,8 +301,8 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
 
     for j in range(1, pl.cfg.la + 1):
         mid = f"a{j}"
-        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, tol, mid)
+        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, mid)
     for j in range(1, pl.cfg.lc + 1):
         mid = f"c{j}"
-        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, tol, mid)
+        ps.v[mid] = _random_full_rank(rng, pl.mu_n, bars[mid], mode, mid)
     return ps

@@ -18,7 +18,6 @@ from . import channel as channel_mod
 from . import numerics, precoder, region
 from .errors import (InfeasiblePoint, InvalidGenerator, RetriesExhausted,
                      SingularStack, TallnessViolated)
-from .numerics import DEFAULT_TOL, Tolerance
 from .precoder import AlignmentPlan, PrecoderSet, TSet
 from .region import DofPoint, SigmaConfig
 
@@ -100,8 +99,7 @@ class VerificationReport:
         }
 
 
-def check_alignment(ps: PrecoderSet, t_set: TSet,
-                    tol: Tolerance = DEFAULT_TOL) -> dict:
+def check_alignment(ps: PrecoderSet, t_set: TSet) -> dict:
     """Verify every alignment constraint, in both span and column form.
 
     For each T diagonal at BS 1, diag(T) times the narrow structured
@@ -113,22 +111,21 @@ def check_alignment(ps: PrecoderSet, t_set: TSet,
                                  (t_set.bs2, ps.p12, ps.p11)):
         for t in t_side.values():
             moved = t[:, None] * narrow
-            span_ok = span_ok and numerics.subspace_contains(moved, wide, tol)
-            subset_ok = subset_ok and numerics.columns_subset_of(moved, wide,
-                                                                 tol)
+            span_ok = span_ok and numerics.subspace_contains(moved, wide)
+            subset_ok = subset_ok and numerics.columns_subset_of(moved, wide)
             checked += 1
     return {"alignment_ok": span_ok, "column_subset_ok": subset_ok,
             "checked": checked}
 
 
-def check_pairwise(ps: PrecoderSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+def check_pairwise(ps: PrecoderSet) -> bool:
     """Each shared user's two beamformers must be jointly full column rank."""
     for j in range(1, ps.plan.cfg.lb + 1):
         v1, v2 = ps.v[f"b1_{j}"], ps.v[f"b2_{j}"]
         total = v1.shape[1] + v2.shape[1]
         if total == 0:
             continue
-        if numerics.rank(np.hstack([v1, v2]), tol) != total:
+        if numerics.rank(np.hstack([v1, v2])) != total:
             return False
     return True
 
@@ -189,11 +186,11 @@ def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
                        c_block=c_block, assembled=assembled)
 
 
-def check_lambda(parts: LambdaParts, tol: Tolerance = DEFAULT_TOL) -> dict:
+def check_lambda(parts: LambdaParts) -> dict:
     rows, cols = parts.assembled.shape
     if cols == 0:
         return {"rows": rows, "cols": 0, "rank": 0, "full": True}
-    r = numerics.rank(parts.assembled, tol)
+    r = numerics.rank(parts.assembled)
     return {"rows": rows, "cols": cols, "rank": r, "full": r == cols}
 
 
@@ -231,7 +228,7 @@ def _achieved(cfg: SigmaConfig, d: DofPoint, mu_n: int, bars) -> dict:
 
 
 def lemma1_test(m: int, k: int, exponent_gen, seed: int, mode: str = "float",
-                tol: Tolerance = DEFAULT_TOL, claim_valid: bool = True) -> bool:
+                claim_valid: bool = True) -> bool:
     """Full-rank property of square monomial matrices with distinct row tuples.
 
     exponent_gen(m, k, rng) returns an integer (m, m, k) array: the
@@ -249,11 +246,11 @@ def lemma1_test(m: int, k: int, exponent_gen, seed: int, mode: str = "float",
         raise InvalidGenerator("duplicate exponent tuple within a row")
     x = channel_mod._draw_block(rng, 1, m, k, mode)[0]   # (m, k) variables
     a = np.prod(x[:, None, :] ** alphas, axis=-1)
-    return numerics.rank(a, tol) == m
+    return numerics.rank(a) == m
 
 
-def run_certified(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
-                  tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+def run_certified(cfg: SigmaConfig, d: DofPoint, n: int,
+                  seed: int) -> VerificationReport:
     """Float run, with any float failure decided by a prime-field rerun.
 
     A float pass returns at once.  Large monomial exponents make the float
@@ -272,10 +269,10 @@ def run_certified(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
     and BIG up to n = 2; README, "Numeric modes"), or P divides every
     coefficient of those minors.  So a modp fail is evidence, not proof.
     """
-    report = run_experiment(cfg, d, n, seed, "float", tol)
+    report = run_experiment(cfg, d, n, seed, "float")
     if report.passed:
         return report
-    return run_experiment(cfg, d, n, seed, "modp", tol)
+    return run_experiment(cfg, d, n, seed, "modp")
 
 
 def random_valid_exponents(m, k, rng):
@@ -317,8 +314,7 @@ def duplicate_column_exponents(m, k, rng):
 
 
 def run_experiment(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
-                   mode: str = "float",
-                   tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+                   mode: str = "float") -> VerificationReport:
     """Feasibility gate, plan, draw, construction, and every certification.
 
     A singular channel draw is retried with seed+1 up to three times; the
@@ -335,8 +331,8 @@ def run_experiment(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
         use_seed = seed + attempt
         try:
             draw = channel_mod.draw(cfg, pl.mu_n, use_seed, mode)
-            t_set = precoder.compute_t_set(draw, pl, tol)
-            ps = precoder.assemble(pl, d, draw, use_seed, tol, t_set)
+            t_set = precoder.compute_t_set(draw, pl)
+            ps = precoder.assemble(pl, d, draw, use_seed, t_set)
             break
         except SingularStack as e:
             last_err = e
@@ -344,10 +340,10 @@ def run_experiment(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
     else:
         raise RetriesExhausted(f"3 retries after seed {seed}: {last_err}")
 
-    align = check_alignment(ps, t_set, tol)
-    pairwise_ok = check_pairwise(ps, tol)
-    l1 = check_lambda(build_lambda(1, draw, ps, pl), tol)
-    l2 = check_lambda(build_lambda(2, draw, ps, pl), tol)
+    align = check_alignment(ps, t_set)
+    pairwise_ok = check_pairwise(ps)
+    l1 = check_lambda(build_lambda(1, draw, ps, pl))
+    l2 = check_lambda(build_lambda(2, draw, ps, pl))
     passed = (align["alignment_ok"] and pairwise_ok
               and l1["full"] and l2["full"])
     return VerificationReport(

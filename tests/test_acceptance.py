@@ -11,10 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 import conftest
-from sigma_align import (DofPoint, SigmaConfig, channel, errors, numerics,
-                         precoder, region, verify)
+from sigma_align import (DofPoint, SigmaConfig, channel, errors, precoder,
+                         region, verify)
 
-TOL = numerics.DEFAULT_TOL
 
 S1_CFG = SigmaConfig(1, 1, 0, 2, 0)
 S1_D = DofPoint.make(db1=["1/3", "1/3"], db2=["1/3", "1/3"])
@@ -72,10 +71,10 @@ def _construction(cfg, d, n, seed, mode):
     for s in range(seed, seed + 3):   # rare rational draws are singular
         dr = channel.draw(cfg, pl.mu_n, s, mode)
         try:
-            t_set = precoder.compute_t_set(dr, pl, TOL)
+            t_set = precoder.compute_t_set(dr, pl)
         except errors.SingularStack:
             continue
-        ps = precoder.assemble(pl, d, dr, s, TOL, t_set)
+        ps = precoder.assemble(pl, d, dr, s, t_set)
         return pl, t_set, ps
     raise errors.RetriesExhausted(f"no invertible stack near seed {seed}")
 
@@ -87,7 +86,7 @@ def test_criterion_3_exact_alignment():
     for cfg, d, n in scenarios:
         for mode in ("rational", "float"):
             pl, t_set, ps = _construction(cfg, d, n, seed=17, mode=mode)
-            res = verify.check_alignment(ps, t_set, TOL)
+            res = verify.check_alignment(ps, t_set)
             good = (res["alignment_ok"] and res["column_subset_ok"]
                     and res["checked"] == pl.gamma1 + pl.gamma2)
             ok = ok and good
@@ -96,7 +95,7 @@ def test_criterion_3_exact_alignment():
     _, t_set, ps = _construction(S1_CFG, S1_D, 1, seed=17, mode="float")
     ps.p22 = ps.p22.copy()
     ps.p22[0, 0] += 1e-3
-    negative_fails = not verify.check_alignment(ps, t_set, TOL)["column_subset_ok"]
+    negative_fails = not verify.check_alignment(ps, t_set)["column_subset_ok"]
     verdict(3, ok and negative_fails,
             f"all aligned columns matched exactly ({', '.join(details)}); "
             f"perturbation control fails: {negative_fails}")
@@ -109,7 +108,7 @@ def test_criterion_4_full_rank_certification():
     lines = []
     for name, cfg, d, n in scenarios:
         t0 = time.monotonic()
-        passes = sum(verify.run_certified(cfg, d, n, 1000 * s, TOL).passed
+        passes = sum(verify.run_certified(cfg, d, n, 1000 * s).passed
                      for s in range(20))
         elapsed = time.monotonic() - t0
         good = passes == 20 and elapsed < 60.0
@@ -164,7 +163,7 @@ def test_criterion_6_convergence():
     certified = []
     for n in range(1, 7):
         pl = precoder.plan(S1_CFG, S1_D, n)
-        r = verify.run_certified(S1_CFG, S1_D, n, 31, TOL)
+        r = verify.run_certified(S1_CFG, S1_D, n, 31)
         certified_ok = certified_ok and r.passed
         certified.append(f"n={n} {r.mode} pass={r.passed} Lambda ranks "
                          f"{r.lambda1['rank']}/{r.lambda1['cols']}, "
@@ -216,7 +215,7 @@ def test_criterion_8_degenerate_branches():
     mac_cfg = SigmaConfig(2, 1, 2, 0, 0)
     mac_d = DofPoint.make(da=["1", "1"])
     pl = precoder.plan(mac_cfg, mac_d, 1)
-    r = verify.run_certified(mac_cfg, mac_d, 1, 11, TOL)
+    r = verify.run_certified(mac_cfg, mac_d, 1, 11)
     mac_ok = (pl.gamma1 == pl.gamma2 == 0 and pl.mu_n == pl.mu0
               and r.passed and r.alignment_checked == 0)
     # shared group that fits within both antenna arrays, boundary point
@@ -224,7 +223,7 @@ def test_criterion_8_degenerate_branches():
     fit_d = DofPoint.make(db1=["1/2", "1/2"], db2=["1/2", "1/2"])
     pl2 = precoder.plan(fit_cfg, fit_d, 1)
     _, _, ps = _construction(fit_cfg, fit_d, 1, seed=11, mode="float")
-    r2 = verify.run_certified(fit_cfg, fit_d, 1, 11, TOL)
+    r2 = verify.run_certified(fit_cfg, fit_d, 1, 11)
     fit_ok = (pl2.gamma1 == pl2.gamma2 == 0 and pl2.mu_n == pl2.mu0
               and ps.p11 is None and ps.p21 is None and r2.passed)
     verdict(8, mac_ok and fit_ok,

@@ -67,6 +67,7 @@ def run_cli_process(argv, **env):
 def assert_error_line(proc):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -89,18 +90,35 @@ def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
     ({"n": 0}, []),
     ({"trials": 0}, []),
     ({}, ["--trials", "0"]),
-    ({"tol": {"rank": 0}}, []),
-    ({"tol": {"match": -1e-8}}, []),
-    ({}, ["--tol-rank", "0"]),
-    ({}, ["--tol-match", "-1"]),
+    ({}, ["--mode", "exact"]),
+    ({}, ["--bogus"]),
+    ({}, ["--tol-rank", "1e-18"]),
 ], ids=["mode-exact", "n-two", "n-zero", "trials-zero", "flag-trials-zero",
-        "tol-rank-0", "tol-match-neg", "flag-tol-rank-0",
-        "flag-tol-match-neg"])
+        "flag-mode-exact", "flag-unknown", "flag-removed-tol-rank"])
 def test_bad_config_is_an_error_line(tmp_path, fields, flags):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**S1_CONFIG, "trials": 1, **fields}))
     assert_error_line(
         run_cli_process(["ia", "run", "--config", str(p), *flags]))
+
+
+def test_help_exits_0():
+    proc = run_cli_process(["ia", "run", "--help"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: sigma-align ia run")
+
+
+def test_removed_tol_config_field_is_an_error_line(tmp_path):
+    # float Lambda1 has rank 53/56 at a 1e-16 cutoff here and 56/56 at
+    # 1e-18, so a settable cutoff turned a float fail into a "pass"
+    p = tmp_path / "s1n4.json"
+    p.write_text(json.dumps({k: v for k, v in S1_CONFIG.items()
+                             if k != "mode"}
+                            | {"n": 4, "seed": 31, "trials": 1,
+                               "tol": {"rank": 1e-18}}))
+    proc = run_cli_process(["ia", "run", "--config", str(p)])
+    assert_error_line(proc)
+    assert '"tol"' in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from sigma_align import numerics
 from sigma_align.errors import DimensionMismatch, EmptyMatrix
-from sigma_align.numerics import (Tolerance, columns_subset_of, exact_matrix,
-                                  rank, subspace_contains)
-
-TOL = numerics.DEFAULT_TOL
+from sigma_align.numerics import (columns_subset_of, exact_matrix, rank,
+                                  subspace_contains)
 
 
 def test_rank_identity():
@@ -53,11 +51,6 @@ def test_rank_monomial_tall_matrix():
     m = exact_matrix([[xi ** e for e in (1, 2, 3, 4)] for xi in x])
     assert rank(m) == 4
     assert rank(m.astype(float)) == 4
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel_rank_tol=0.0)
 
 
 def test_subspace_contains_column_subset():

@@ -18,7 +18,7 @@ def construction(cfg, d, n, seed, mode="float"):
     pl = precoder.plan(cfg, d, n)
     dr = channel.draw(cfg, pl.mu_n, seed, mode)
     t_set = precoder.compute_t_set(dr, pl)
-    ps = precoder.assemble(pl, d, dr, seed, numerics.DEFAULT_TOL, t_set)
+    ps = precoder.assemble(pl, d, dr, seed, t_set)
     return pl, dr, t_set, ps
 
 
