@@ -6,8 +6,8 @@ one channel vector per slot.  This module keeps that structure slot-wise
 and never builds H_tilde: ``apply`` multiplies by it one slot at a time,
 the stack of an alignment set's expanded channels is a (mu_n, N_i, N_i)
 array of per-slot blocks, and each T matrix is its length-mu_n diagonal.
-Every product is elementwise numpy, so float64, Fraction and Zp arrays take
-the same code path.
+Every product is elementwise numpy, so float64, Fraction and
+``numerics.ModP`` arrays take the same code path.
 
 This is where the arithmetic mode is chosen: ``_draw_block`` is the only
 code that reads a mode, and the distribution it draws from fixes the dtype
@@ -39,7 +39,8 @@ class ChannelDraw:
 
     Array shapes: h_a (la, n1, mu_n), h_b1 (lb, n1, mu_n),
     h_b2 (lb, n2, mu_n), h_c (lc, n2, mu_n).  Float mode stores float64,
-    rational mode Fraction objects and modp mode ``numerics.Zp`` objects.
+    rational mode Fraction objects, and modp mode int64 residues mod
+    ``numerics.P`` in ``numerics.ModP`` arrays.
     """
 
     cfg: SigmaConfig

@@ -39,14 +39,29 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+CONFIG_FIELDS = ("cfg", "d", "n", "n_max", "seed", "trials", "mode")
+
+
 def load_config(path: str, args) -> dict:
-    """Read the JSON config and resolve it against flags and environment."""
+    """Read the JSON config and resolve it against flags and environment.
+
+    A field outside ``CONFIG_FIELDS`` is an error: a misspelt or removed
+    field would otherwise change the run without a word.
+    """
     try:
         with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
     try:
+        if "tol" in raw:
+            raise ParseError('config field "tol" was removed: the float '
+                             'thresholds are fixed in sigma_align.numerics')
+        unknown = sorted(set(raw) - set(CONFIG_FIELDS))
+        if unknown:
+            raise ParseError(f"unknown config field "
+                             f"{', '.join(map(repr, unknown))}; the fields "
+                             f"are {', '.join(CONFIG_FIELDS)}")
         c = raw["cfg"]
         cfg = SigmaConfig(int(c["n1"]), int(c["n2"]), int(c["la"]),
                           int(c["lb"]), int(c["lc"]))
@@ -56,9 +71,6 @@ def load_config(path: str, args) -> dict:
             tuple(_parse_fraction(x) for x in dd.get("db1", [])),
             tuple(_parse_fraction(x) for x in dd.get("db2", [])),
             tuple(_parse_fraction(x) for x in dd.get("dc", [])))
-        if "tol" in raw:
-            raise ParseError('config field "tol" was removed: the float '
-                             'thresholds are fixed in sigma_align.numerics')
         n = int(_flag_or(args, "n", raw.get("n", 1)))
         rc = {
             "cfg": cfg,
@@ -203,15 +215,17 @@ def cmd_ia_sweep(args) -> int:
     for n in range(rc["n"], rc["n_max"] + 1):
         reports = _run_trials(rc, n)
         for t, r in enumerate(reports):
-            ratios = [r.achieved[m]["ratio"] for m in mids]
+            achieved = r.achieved
+            ratios = [achieved[m]["ratio"] for m in mids]
             writer.writerow([n, t, r.seed, precoder.plan(
                 rc["cfg"], rc["d"], n).mu_n, _frac_str(r.sum_per_slot),
                 float(r.sum_per_slot)]
                 + [_frac_str(x) for x in ratios]
                 + [float(x) for x in ratios] + [r.passed])
             all_pass = all_pass and r.passed
+        first = reports[0].achieved
         for m in mids:
-            ratio_track[m].append(reports[0].achieved[m]["ratio"])
+            ratio_track[m].append(first[m]["ratio"])
     for m, seq in ratio_track.items():
         strict = any(x != 1 for x in seq)
         for a, b in zip(seq, seq[1:]):

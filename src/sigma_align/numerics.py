@@ -1,12 +1,12 @@
 """Float, exact rational and prime-field dense matrices and rank predicates.
 
-Matrices are plain numpy arrays.  dtype float64 means float mode; dtype
-object means an exact mode, with ``fractions.Fraction`` entries (rational
-mode) or ``Zp`` entries, residues modulo the prime P (modp mode).  The
-channel draw picks the dtype, and the rest of the package computes with
-numpy expressions that work on each; this module is the one place that
-branches on it (``rank`` and ``columns_subset_of``), and the only one
-that holds float thresholds.  A stack of blocks along a leading axis
+Matrices are numpy arrays.  dtype float64 means float mode; dtype object
+means rational mode, with ``fractions.Fraction`` entries; a ``ModP`` array
+holds int64 residues modulo the prime P, and means modp mode.  The
+channel draw picks the array type, and the rest of the package computes
+with numpy expressions that work on each; this module is the one place
+that branches on it (``rank`` and ``columns_subset_of``), and the only
+one that holds float thresholds.  A stack of blocks along a leading axis
 stands for the block-diagonal matrix they form; ``solve_blocks`` and the
 modp ``rank`` treat all of its blocks in one batched elimination.
 """
@@ -34,105 +34,132 @@ COL_MATCH_TOL = 1e-8
 P = 2 ** 31 - 1   # a Mersenne prime; residues below 2**31 multiply in int64
 
 
-class Zp:
-    """An element of the prime field F_P, for object arrays in modp mode.
+class ModP(np.ndarray):
+    """int64 residues in [0, P): the arrays of modp mode, elements of F_P.
 
-    Arithmetic mixes with Python and numpy integers, which are reduced
-    first.  ``abs`` is 0 for zero and 1 otherwise, so a pivot search by
-    largest magnitude (``solve_blocks``) picks a nonzero entry; equal
-    residues hash equally, so columns can be looked up in a set.
+    numpy arithmetic on a ModP array is arithmetic in F_P.  Integer
+    operands (Python ints of any size, integer arrays) are reduced mod P
+    first, and every product is reduced before the next one, so both of
+    its factors are below 2**31 and it stays below 2**62:
+    - add, subtract, multiply, negative, square, matmul (each product
+      reduced before the sum) and ``multiply.reduce`` (``np.prod``) give
+      ModP residues, also in place (``out=``);
+    - power takes nonnegative integer exponents, not residues;
+    - true_divide multiplies by the modular inverse and raises
+      ZeroDivisionError on a zero divisor;
+    - absolute is the identity on residues, as a plain int64 array, so a
+      largest-magnitude pivot search (``solve_blocks``) picks a nonzero
+      entry;
+    - the comparisons compare residues and give plain booleans.
+    Any other ufunc, and a float or Fraction operand, raise TypeError.
+    ``np.concatenate``, ``stack``, ``hstack`` and ``vstack`` keep the type
+    (plain integer arrays joined in must already hold residues).  Indexing
+    out one entry gives a plain ``np.int64``, which does not reduce.
     """
 
-    __slots__ = ("v",)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.multiply and method == "reduce":
+            if kwargs.get("dtype") is not None or kwargs.get("keepdims") \
+                    or kwargs.get("where", True) is not True:
+                return NotImplemented
+            result = _prod(_residues(inputs[0]), kwargs.get("axis", 0))
+        elif method != "__call__" or kwargs:
+            return NotImplemented
+        elif ufunc is np.power:
+            e = np.asarray(inputs[1])
+            if isinstance(inputs[1], ModP) or e.dtype.kind not in "iu":
+                return NotImplemented
+            if np.any(e < 0):
+                raise ValueError("negative exponent in F_P")
+            result = _power(_residues(inputs[0]), e)
+        else:
+            args = [_residues(x) for x in inputs]
+            if any(a is None for a in args):
+                return NotImplemented
+            if ufunc in _ON_RESIDUES:
+                return ufunc(*args)
+            if ufunc not in _FIELD_OPS:
+                return NotImplemented
+            result = _FIELD_OPS[ufunc](*args)
+        if out is not None:
+            out[0][...] = result
+            return out[0]
+        return np.asarray(result).view(ModP)
 
-    def __init__(self, v):
-        self.v = int(v) % P
-
-    def __add__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp((self.v + o) % P)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp((self.v - o) % P)
-
-    def __rsub__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp((o - self.v) % P)
-
-    def __mul__(self, other):
-        if type(other) is Zp:   # the hot path of apply and build_p
-            return _zp(self.v * other.v % P)
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp(self.v * o % P)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp(self.v * _inverse(o) % P)
-
-    def __rtruediv__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else _zp(o * _inverse(self.v) % P)
-
-    def __pow__(self, e):
-        return _zp(pow(self.v, int(e), P))
-
-    def __neg__(self):
-        return _zp(-self.v % P)
-
-    def __abs__(self):
-        return 1 if self.v else 0
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        o = _residue_of(other)
-        return NotImplemented if o is None else self.v == o
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __repr__(self):
-        return f"Zp({self.v})"
+    def __array_function__(self, func, types, args, kwargs):
+        result = super().__array_function__(func, types, args, kwargs)
+        if func in _JOINS and result.dtype == np.int64:
+            return result.view(ModP)
+        return result
 
 
-def _zp(v: int) -> Zp:
-    """A Zp from a residue already in [0, P), skipping the reduction."""
-    z = object.__new__(Zp)
-    z.v = v
-    return z
+def _residues(x):
+    """Plain int64 residues in [0, P) of a ModP array or of integers, or
+    None for any other operand."""
+    if isinstance(x, ModP):
+        return x.view(np.ndarray)
+    if isinstance(x, int):
+        x = x % P
+    a = np.asarray(x)
+    if a.dtype == object and all(isinstance(v, int) for v in a.flat):
+        a = np.array([v % P for v in a.flat], dtype=np.int64).reshape(a.shape)
+    if a.dtype.kind not in "iu":
+        return None
+    return (a % P).astype(np.int64, copy=False)
 
 
-def _inverse(v: int) -> int:
-    if v == 0:
+def _power(a, e):
+    """a ** e mod P, elementwise, by repeated squaring."""
+    out = np.ones(np.broadcast_shapes(a.shape, e.shape), dtype=np.int64)
+    while np.any(e):
+        out = np.where(e & 1, out * a % P, out)
+        a = a * a % P
+        e = e >> 1
+    return out
+
+
+def _inverse(b):
+    """Modular inverses, elementwise (one Python ``pow`` per entry)."""
+    if np.any(b == 0):
         raise ZeroDivisionError("division by zero in F_P")
-    return pow(v, -1, P)
+    return np.array([pow(v, -1, P) for v in b.ravel().tolist()],
+                    dtype=np.int64).reshape(b.shape)
 
 
-def _residue_of(x):
-    """x's residue mod P if x is a Zp or an integer, else None."""
-    if isinstance(x, Zp):
-        return x.v
-    if isinstance(x, (int, np.integer)):
-        return int(x) % P
-    return None
+def _prod(a, axis):
+    """Product over one axis (or all, for None), reduced after each factor."""
+    factors = a.reshape(-1) if axis is None else np.moveaxis(a, axis, 0)
+    out = np.ones(factors.shape[1:], dtype=np.int64)
+    for f in factors:
+        out = out * f % P
+    return out
 
 
-def zp_array(values) -> np.ndarray:
-    """Object array of ``Zp`` residues of an integer array-like, same shape."""
-    ints = np.asarray(values)
-    out = np.empty(ints.size, dtype=object)
-    out[:] = [Zp(v) for v in ints.flat]
-    return out.reshape(ints.shape)
+_FIELD_OPS = {
+    np.add: lambda a, b: (a + b) % P,
+    np.subtract: lambda a, b: (a - b) % P,
+    np.multiply: lambda a, b: a * b % P,
+    np.negative: lambda a: -a % P,
+    np.square: lambda a: a * a % P,   # numpy's fast path for x ** 2
+    np.true_divide: lambda a, b: a * _inverse(b) % P,
+    np.matmul: lambda a, b: (a[..., :, :, None] * b[..., None, :, :]
+                             % P).sum(axis=-2) % P,
+}
+_ON_RESIDUES = (np.absolute, np.equal, np.not_equal, np.less,
+                np.less_equal, np.greater, np.greater_equal)
+_JOINS = (np.concatenate, np.stack, np.hstack, np.vstack)
+
+
+def zp_array(values) -> ModP:
+    """The residues mod P of an integer array-like, as a new ModP array."""
+    r = _residues(values)
+    if r is None:
+        raise TypeError(f"not an integer array: {values!r}")
+    return np.array(r).view(ModP)
 
 
 def is_exact(m: np.ndarray) -> bool:
-    return m.dtype == object
+    return m.dtype == object or isinstance(m, ModP)
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -152,17 +179,19 @@ def rank(m: np.ndarray) -> int:
     whose blocks are its trailing two axes, and gets that matrix's rank:
     the sum of the block ranks, with the float cutoff taken from the
     largest singular value of any block and the full matrix's size.
-    Rational matrices are eliminated block by block; prime-field ones in
-    one batched elimination over all blocks.
+    Rational matrices are eliminated block by block; a prime-field
+    stack in one batched elimination over all blocks.
     """
     if m.size == 0:
         raise EmptyMatrix(f"rank of empty {m.shape} matrix")
     rows, cols = m.shape[-2:]
+    if isinstance(m, ModP):
+        a = np.array(m.view(np.ndarray))
+        if a.ndim == 2:
+            return _rank_modp(a)
+        return _rank_modp_blocks(a.reshape(-1, rows, cols))
     if is_exact(m):
-        blocks = m.reshape(-1, rows, cols)
-        if any(isinstance(x, Zp) for x in m.flat):
-            return _rank_modp(blocks)
-        return sum(_rank_exact(b) for b in blocks)
+        return sum(_rank_exact(b) for b in m.reshape(-1, rows, cols))
     s = np.linalg.svd(_equilibrated(m), compute_uv=False)
     s_max = s.max()
     if s_max == 0.0:
@@ -211,8 +240,8 @@ def columns_subset_of(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if is_exact(a):
-        cols = set(map(tuple, b.T))
-        return all(tuple(col) in cols for col in a.T)
+        cols = set(map(tuple, b.T.tolist()))
+        return all(col in cols for col in map(tuple, a.T.tolist()))
     bound = COL_MATCH_TOL * np.maximum(
         1.0, np.max(np.abs(b), axis=0, initial=0.0))
     return all(np.any(np.max(np.abs(b - col[:, None]), axis=0, initial=0.0)
@@ -267,39 +296,72 @@ def _rank_exact(m: np.ndarray) -> int:
     return piv_r
 
 
-def _rank_modp(blocks: np.ndarray) -> int:
-    """Sum of the ranks over F_P of a (blocks, rows, cols) ``Zp`` array.
+def _rank_modp(a: np.ndarray) -> int:
+    """Rank over F_P of a 2-D int64 array of residues; eliminates in place.
 
-    Entries may also be integers, such as the zeros ``np.diag`` fills in.
-
-    Gaussian elimination on the int64 residues of every block at once, one
-    column per step; each block keeps its own pivot count.  A row update
-    row <- pivot * row - f * pivot_row is invertible because the pivot is
-    a unit, so no inverses are needed.  Residues are below 2**31, so each
-    product stays below 2**62 and is reduced before the next one.
+    Gaussian elimination, one column per step: swap a row with a nonzero
+    entry into pivot row r, then update the rows below it in one sliced
+    expression, row <- pivot * row + f * (P - pivot_row), with f the row's
+    entry in the pivot column.  That update is invertible because the
+    pivot is a unit, so no inverses are needed.  Each term is a product of
+    two residues, below 2**62, so the sum is nonnegative and below 2**63,
+    and ``fmod`` reduces it (faster than the sign-aware ``%``).
     """
-    a = np.array([z.v if type(z) is Zp else _residue_of(z)
-                  for z in blocks.flat], dtype=np.int64).reshape(blocks.shape)
+    if a.shape[1] > a.shape[0]:
+        a = a.T.copy()   # fewer columns, fewer steps
+    nrows, ncols = a.shape
+    r = 0
+    for col in range(ncols):
+        if not a[r, col]:
+            nz = np.flatnonzero(a[r:, col])
+            if nz.size == 0:
+                continue
+            a[[r, r + nz[0]], col:] = a[[r + nz[0], r], col:]
+        below = a[r + 1:, col:]
+        f = below[:, :1] * (P - a[r, col:])
+        below *= a[r, col]
+        below += f
+        np.fmod(below, P, out=below)
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _rank_modp_blocks(a: np.ndarray) -> int:
+    """Sum of the ranks over F_P of a (blocks, rows, cols) int64 array.
+
+    ``_rank_modp``'s elimination on every block at once, for a stack of
+    many small blocks, where a Python loop over the blocks would cost one
+    step per block and column.  Each block keeps its own pivot count r:
+    its pivot row is swapped into row r (by fancy indexing, only when
+    some block needs it), and the sliced update runs from the lowest r
+    down, with f = 0 on the rows at or above each block's r, which are
+    only rescaled.
+    """
     if a.shape[2] > a.shape[1]:
-        a = a.transpose(0, 2, 1).copy()   # fewer columns, fewer steps
+        a = a.transpose(0, 2, 1).copy()
     n_blocks, nrows, ncols = a.shape
     ranks = np.zeros(n_blocks, dtype=np.intp)
-    row_ids = np.arange(nrows)
+    row_ids, block_ids = np.arange(nrows), np.arange(n_blocks)
     for col in range(ncols):
         cand = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
-        live = np.flatnonzero(cand.any(axis=1))
-        if live.size == 0:
+        src = cand.argmax(axis=1)
+        live = cand[block_ids, src]   # the block has a pivot in this column
+        if not live.any():
             continue
-        src, dst = np.argmax(cand[live], axis=1), ranks[live]
-        pivot_rows = a[live, src, col:]
-        a[live, src, col:] = a[live, dst, col:]
-        a[live, dst, col:] = pivot_rows
-        f = np.where(row_ids > dst[:, None], a[live, :, col], 0)
-        a[live, :, col:] = (a[live, :, col:] * pivot_rows[:, None, :1]
-                            - f[:, :, None] * pivot_rows[:, None, :]) % P
-        ranks[live] += 1
-        if ranks.min() == nrows:
-            break
+        if np.any(src != ranks):
+            src = np.where(live, src, ranks)
+            a[block_ids, ranks, col:], a[block_ids, src, col:] = \
+                a[block_ids, src, col:], a[block_ids, ranks, col:]
+        prow = a[block_ids, ranks, col:]
+        lo = ranks.min() + 1
+        below = a[:, lo:, col:]
+        f = np.where(row_ids[lo:] > ranks[:, None], below[:, :, 0], 0)
+        below *= np.where(live, prow[:, 0], 1)[:, None, None]
+        below += f[:, :, None] * (P - prow)[:, None, :]
+        np.fmod(below, P, out=below)
+        ranks += live
     return int(ranks.sum())
 
 
@@ -308,8 +370,8 @@ def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` is (blocks, n, n) and ``b`` is (blocks, n, k).  LU elimination
     with partial pivoting, then back substitution, runs on all blocks at
-    once.  Every step is elementwise numpy, so float64 and Fraction arrays
-    take the same path and exact mode stays exact.  As in LAPACK's
+    once.  Every step is elementwise numpy, so float64, Fraction and ModP
+    arrays take the same path and the exact modes stay exact.  As in LAPACK's
     getrf/getrs, each division multiplies by the pivot's reciprocal, which
     keeps float results on the rounding of numpy.linalg.solve.  Raises
     numpy.linalg.LinAlgError on a singular block, mirroring
@@ -339,7 +401,7 @@ def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product working in both modes (np.matmul rejects object dtype)."""
+    """Matrix product in every mode (``ndarray.dot`` would overflow ModP)."""
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return a.dot(b)
+    return np.matmul(a, b)

@@ -181,13 +181,15 @@ def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
 
     t_diags is the ordered list of T diagonals, one per (l, j) pair,
     matching the alpha ordering of the tuples.  With diagonal T the
-    monomials are evaluated entrywise, in the dtype of the diagonals.
+    monomials are evaluated entrywise, in the array type of the diagonals.
     """
     gamma = len(t_diags)
     if any(len(tup.alphas) != gamma for tup in tuples):
         raise InconsistentPlan("exponent tuple arity != number of T pairs")
     alphas = np.reshape([tup.alphas for tup in tuples], (len(tuples), gamma))
-    x = np.reshape(t_diags, (gamma, mu_n)).T   # gamma = 0: columns of ones
+    # (mu_n, gamma), a transposed view: its power runs faster than a
+    # stack along the last axis; gamma = 0 gives columns of ones
+    x = np.stack(t_diags).T if gamma else np.ones((mu_n, 0))
     return np.prod(x[:, None, :] ** alphas, axis=-1)
 
 

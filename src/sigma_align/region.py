@@ -243,6 +243,20 @@ def max_sum_dof(cfg: SigmaConfig, weights) -> tuple[Fraction, DofPoint]:
         raise DimensionMismatch("weight vector length mismatch")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
+    value, x, _ = _simplex_max(*_top_k_lp(cfg, weights))
+    oa, ob1, ob2, oc = _offsets(cfg)
+    point = DofPoint(tuple(x[oa:oa + cfg.la]),
+                     tuple(x[ob1:ob1 + cfg.lb]),
+                     tuple(x[ob2:ob2 + cfg.lb]),
+                     tuple(x[oc:oc + cfg.lc]))
+    return value, point
+
+
+def _top_k_lp(cfg: SigmaConfig, weights):
+    """``max_sum_dof``'s LP as (a, b, c): maximize c.x, a x <= b, x >= 0.
+
+    The DoF variables come first, then t, u_1..u_lb per MAC family.
+    """
     n_x, lb = cfg.num_messages, cfg.lb
     families = _mac_families(cfg)
     n_cols = n_x + len(families) * (1 + lb)
@@ -266,13 +280,7 @@ def max_sum_dof(cfg: SigmaConfig, weights) -> tuple[Fraction, DofPoint]:
             r[t] = r[t + 1 + j] = -1
             a.append(r)
             b.append(0)
-    value, x = _simplex_max(a, b, weights + [0] * (n_cols - n_x))
-    oa, ob1, ob2, oc = _offsets(cfg)
-    point = DofPoint(tuple(x[oa:oa + cfg.la]),
-                     tuple(x[ob1:ob1 + cfg.lb]),
-                     tuple(x[ob2:ob2 + cfg.lb]),
-                     tuple(x[oc:oc + cfg.lc]))
-    return value, point
+    return a, b, list(weights) + [0] * (n_cols - n_x)
 
 
 def _simplex_max(a, b, c):
@@ -281,7 +289,9 @@ def _simplex_max(a, b, c):
     Dense tableau simplex with Bland's rule; exact Fractions throughout.
     The all-slack basis is feasible because every bound is nonnegative.
     Each pivot updates rows in place, only in the pivot row's nonzero
-    columns.
+    columns.  Returns (value, x, y): y, read off the final objective row's
+    slack columns, is an optimal dual, so y >= 0, y^T a >= c and
+    y.b == value certify the optimum (LP duality).
     """
     m, n = len(a), len(c)
     # tableau rows: [a | I | b]; objective row: [-c | 0 | 0]
@@ -321,4 +331,4 @@ def _simplex_max(a, b, c):
         if bi < n:
             x[bi] = tab[i][total]
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x
+    return value, x, obj[n:total]

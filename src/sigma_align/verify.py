@@ -8,7 +8,6 @@ signal-plus-interference matrix at each BS must have full column rank.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,22 +32,22 @@ class LambdaParts:
     assembled: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """What one run checked, and the DoF its construction achieves.
 
-    ``achieved`` and ``sum_per_slot`` are derived from the column counts
-    ``bar_dofs`` (one per message, in ``precoder.message_ids`` order) when
-    first read, so a report that is kept but not read holds no
-    per-message dicts.
+    A report keeps counts, not dicts: ``lambda_counts`` holds Λ1's rows,
+    columns and rank, then Λ2's, and ``bar_dofs`` each message's column
+    count, in ``precoder.message_ids`` order.  ``lambda1``, ``lambda2``,
+    ``achieved`` and ``sum_per_slot`` are built from them on each read,
+    so a report that is kept but not read holds no dicts.
     """
 
     alignment_ok: bool
     column_subset_ok: bool
     pairwise_ok: bool
     alignment_checked: int
-    lambda1: dict
-    lambda2: dict
+    lambda_counts: tuple[int, ...]
     cfg: SigmaConfig
     d: DofPoint
     mu_n: int
@@ -59,28 +58,36 @@ class VerificationReport:
     mode: str
     retries: int
 
-    @functools.cached_property
-    def _dof(self) -> dict:
-        return _achieved(self.cfg, self.d, self.mu_n, self.bar_dofs)
+    @property
+    def lambda1(self) -> dict:
+        return _lambda_dict(*self.lambda_counts[:3])
+
+    @property
+    def lambda2(self) -> dict:
+        return _lambda_dict(*self.lambda_counts[3:])
 
     @property
     def achieved(self) -> dict:
-        return self._dof["achieved"]
+        return self._dof()["achieved"]
 
     @property
     def sum_per_slot(self) -> Fraction:
-        return self._dof["sum_per_slot"]
+        return self._dof()["sum_per_slot"]
+
+    def _dof(self) -> dict:
+        return _achieved(self.cfg, self.d, self.mu_n, self.bar_dofs)
 
     def to_dict(self) -> dict:
         def frac(x):
             return f"{x.numerator}/{x.denominator}"
+        dof = self._dof()
         achieved = {
             mid: {"bar_dof": a["bar_dof"],
                   "per_slot": frac(a["per_slot"]),
                   "per_slot_decimal": float(a["per_slot"]),
                   "target": frac(a["target"]),
                   "ratio": frac(a["ratio"])}
-            for mid, a in self.achieved.items()}
+            for mid, a in dof["achieved"].items()}
         return {
             "alignment_ok": self.alignment_ok,
             "column_subset_ok": self.column_subset_ok,
@@ -89,8 +96,8 @@ class VerificationReport:
             "lambda1": self.lambda1,
             "lambda2": self.lambda2,
             "achieved": achieved,
-            "sum_per_slot": frac(self.sum_per_slot),
-            "sum_per_slot_decimal": float(self.sum_per_slot),
+            "sum_per_slot": frac(dof["sum_per_slot"]),
+            "sum_per_slot_decimal": float(dof["sum_per_slot"]),
             "pass": self.passed,
             "seed": self.seed,
             "n": self.n,
@@ -188,10 +195,12 @@ def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
 
 def check_lambda(parts: LambdaParts) -> dict:
     rows, cols = parts.assembled.shape
-    if cols == 0:
-        return {"rows": rows, "cols": 0, "rank": 0, "full": True}
-    r = numerics.rank(parts.assembled)
-    return {"rows": rows, "cols": cols, "rank": r, "full": r == cols}
+    return _lambda_dict(rows, cols,
+                        numerics.rank(parts.assembled) if cols else 0)
+
+
+def _lambda_dict(rows: int, cols: int, rank: int) -> dict:
+    return {"rows": rows, "cols": cols, "rank": rank, "full": rank == cols}
 
 
 def expected_ratio(pl: AlignmentPlan, mid: str) -> Fraction:
@@ -351,6 +360,7 @@ def run_experiment(cfg: SigmaConfig, d: DofPoint, n: int, seed: int,
         column_subset_ok=align["column_subset_ok"],
         pairwise_ok=pairwise_ok,
         alignment_checked=align["checked"],
-        lambda1=l1, lambda2=l2,
+        lambda_counts=(l1["rows"], l1["cols"], l1["rank"],
+                       l2["rows"], l2["cols"], l2["rank"]),
         cfg=cfg, d=d, mu_n=pl.mu_n, bar_dofs=_bar_dofs(pl, ps),
         passed=passed, seed=use_seed, n=n, mode=mode, retries=retries)

@@ -59,10 +59,10 @@ def test_draw_rational_values(s1_cfg):
 
 def test_draw_modp_values(s1_cfg):
     d = draw(s1_cfg, 200, seed=1, mode="modp")
-    vals = list(d.h_b1.flat) + list(d.h_b2.flat)
-    assert d.h_b1.dtype == object
-    assert all(type(v) is numerics.Zp and 0 < v.v < numerics.P
-               for v in vals)
+    vals = d.h_b1.tolist() + d.h_b2.tolist()
+    for h in (d.h_a, d.h_b1, d.h_b2, d.h_c):
+        assert isinstance(h, numerics.ModP) and h.dtype == np.int64
+    assert all(0 < v < numerics.P for v in np.ravel(vals).tolist())
     assert draw(s1_cfg, 200, seed=1, mode="modp").h_b1.tolist() \
         == d.h_b1.tolist()
 

@@ -93,13 +93,18 @@ def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
     ({}, ["--mode", "exact"]),
     ({}, ["--bogus"]),
     ({}, ["--tol-rank", "1e-18"]),
+    ({"subset_cap": 1}, []),
+    ({"mdoe": "rational"}, []),
 ], ids=["mode-exact", "n-two", "n-zero", "trials-zero", "flag-trials-zero",
-        "flag-mode-exact", "flag-unknown", "flag-removed-tol-rank"])
+        "flag-mode-exact", "flag-unknown", "flag-removed-tol-rank",
+        "removed-subset-cap", "misspelt-mode"])
 def test_bad_config_is_an_error_line(tmp_path, fields, flags):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**S1_CONFIG, "trials": 1, **fields}))
-    assert_error_line(
-        run_cli_process(["ia", "run", "--config", str(p), *flags]))
+    proc = run_cli_process(["ia", "run", "--config", str(p), *flags])
+    assert_error_line(proc)
+    for name in set(fields) - set(cli.CONFIG_FIELDS):   # named in the error
+        assert repr(name) in proc.stderr
 
 
 def test_help_exits_0():
@@ -205,7 +210,9 @@ def test_region_maxsum_zero_weights(s1_config_file, capsys):
 
 
 def test_region_maxsum_lb10_ignores_subset_cap(tmp_path, capsys):
-    cfg = dict(S1_CONFIG, subset_cap=1)
+    # max_sum_dof has no subset cap; a config naming one is an error
+    # (test_bad_config_is_an_error_line), and the report names none
+    cfg = dict(S1_CONFIG)
     cfg["cfg"] = {"n1": 2, "n2": 2, "la": 0, "lb": 10, "lc": 0}
     cfg["d"] = {"db1": ["0"] * 10, "db2": ["0"] * 10}
     p = tmp_path / "lb10.json"

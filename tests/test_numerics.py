@@ -34,13 +34,34 @@ def test_rank_zero_matrix():
 
 
 def test_modp_rank_with_integer_zeros():
-    # np.diag and np.zeros(..., dtype=object) fill in Python int zeros
+    # zeros from an integer diag and from np.zeros_like, which keeps ModP
     z = numerics.zp_array([3, 5])
-    assert rank(np.diag(z)) == 2
-    m = np.zeros((2, 2), dtype=object)
+    d = numerics.zp_array(np.diag([3, 5]))
+    assert rank(d) == 2
+    m = np.zeros_like(z, shape=(2, 2))
     m[1, :] = z
+    assert isinstance(m, numerics.ModP)
     assert rank(m) == 1
-    assert rank(np.stack([m, np.diag(z)])) == 3
+    assert rank(np.stack([m, d])) == 3
+
+
+def test_modp_joins_keep_the_type():
+    # det = 2 * (P + 1) / 2 - 1 = P: singular over F_P, not over the reals,
+    # so only a ModP join gets the F_P rank
+    p = numerics.P
+    a = numerics.zp_array([[2], [1]])
+    b = numerics.zp_array([[1], [(p + 1) // 2]])
+    for joined in (np.hstack([a, b]), np.concatenate([a, b], axis=1),
+                   np.stack([a[:, 0], b[:, 0]], axis=-1),
+                   np.vstack([a.T, b.T]).T):
+        assert isinstance(joined, numerics.ModP)
+        assert joined.dtype == np.int64
+        assert rank(joined) == 1
+    assert rank(np.asarray(np.hstack([a, b]), dtype=float)) == 2
+    # an empty plain block joined in, as build_lambda does
+    empty = np.empty((2, 0), dtype=np.int64)
+    assert isinstance(np.hstack([empty, a, b]), numerics.ModP)
+    assert numerics.is_exact(np.hstack([a, b]))
 
 
 def test_rank_monomial_tall_matrix():
@@ -195,36 +216,93 @@ _INT_OPS = {
 }
 
 
-@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70),
-       st.integers(0, 200))
+def _ints(values):
+    """Python ints of any size, which never overflow, in an object array."""
+    return np.array(values, dtype=object)
+
+
+def _is_residues(z, want):
+    return (isinstance(z, numerics.ModP) and z.dtype == np.int64
+            and z.tolist() == [w % numerics.P for w in want])
+
+
+# A multiple of P, near it, or anything up to 2**70 in size: zero and
+# nonzero residues both occur.
+_operand = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                     st.integers(-3, 3).map(lambda k: k * numerics.P),
+                     st.integers(-3, 3).map(lambda k: k * numerics.P + 1))
+
+
+@given(st.lists(st.tuples(_operand, _operand, st.integers(0, 200)),
+                min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
-def test_zp_arithmetic_matches_int_mod_p(x, y, e):
+def test_zp_arithmetic_matches_int_mod_p(entries):
     p = numerics.P
-    zx, zy = numerics.Zp(x), numerics.Zp(y)
-    assert zx.v == x % p and 0 <= zx.v < p
+    xs, ys, es = (list(t) for t in zip(*entries))
+    zx, zy = numerics.zp_array(_ints(xs)), numerics.zp_array(_ints(ys))
+    assert _is_residues(zx, xs)
+    assert all(0 <= v < p for v in zx.tolist())
+    y0 = ys[0]
     for op in _INT_OPS.values():
-        want = op(x, y) % p
-        assert op(zx, zy).v == want
-        assert op(zx, y).v == want          # integer on the right
-        assert op(x, zy).v == want          # integer on the left
-        assert op(zx, np.int64(y % 2 ** 62)).v == op(x, y % 2 ** 62) % p
-    assert (-zx).v == -x % p
-    assert (zx ** e).v == pow(x, e, p)
-    assert abs(zx) == (0 if x % p == 0 else 1)
-    assert bool(zx) == (x % p != 0)
-    assert (zx == zy) == (x % p == y % p)
-    assert (zx == y) == (x % p == y % p)
-    assert hash(zx) == hash(numerics.Zp(x + 5 * p))
-    if y % p:
-        assert ((zx / zy) * zy).v == x % p
-        assert ((x / zy) * zy).v == x % p
+        want = [op(x, y) for x, y in zip(xs, ys)]
+        assert _is_residues(op(zx, zy), want)
+        assert _is_residues(op(zx, _ints(ys)), want)   # integers on the right
+        assert _is_residues(op(_ints(xs), zy), want)   # integers on the left
+        assert _is_residues(op(zx, y0), [op(x, y0) for x in xs])
+        assert _is_residues(op(y0, zx), [op(y0, x) for x in xs])
+        small = np.array([y % 2 ** 62 for y in ys], dtype=np.int64)
+        assert _is_residues(op(zx, small),
+                            [op(x, y % 2 ** 62) for x, y in zip(xs, ys)])
+    in_place = zx.copy()
+    in_place -= zy
+    assert _is_residues(in_place, [x - y for x, y in zip(xs, ys)])
+    in_place *= zy
+    assert _is_residues(in_place, [(x - y) * y for x, y in zip(xs, ys)])
+    assert _is_residues(-zx, [-x for x in xs])
+    assert _is_residues(zx ** es[0], [pow(x, es[0], p) for x in xs])
+    assert _is_residues(zx ** np.array(es), [pow(x, e, p)
+                                             for x, e in zip(xs, es)])
+    assert _is_residues(np.prod(np.stack([zx, zy, zx]), axis=0),
+                        [x * y * x for x, y in zip(xs, ys)])
+    # abs is the identity on residues, so a nonzero entry is never smallest
+    assert np.abs(zx).tolist() == zx.tolist()
+    assert (np.abs(zx) > 0).tolist() == [x % p != 0 for x in xs]
+    assert (zx != 0).tolist() == [x % p != 0 for x in xs]
+    assert (zx == zy).tolist() == [x % p == y % p for x, y in zip(xs, ys)]
+    assert (zx == y0).tolist() == [x % p == y0 % p for x in xs]
+    # a column is found by its residues, whatever integers built it
+    shifted = numerics.zp_array(_ints([x + 5 * p for x in xs]))
+    assert np.array_equal(shifted, zx)
+    assert numerics.columns_subset_of(shifted[:, None], zx[:, None])
+    if all(y % p for y in ys):
+        assert _is_residues((zx / zy) * zy, xs)
+        assert _is_residues((_ints(xs) / zy) * zy, xs)
+        assert _is_residues((1 / zy) * zy, [1] * len(ys))
     else:
         with pytest.raises(ZeroDivisionError):
             zx / zy
+        with pytest.raises(ZeroDivisionError):
+            1 / zy
     with pytest.raises(TypeError):
         zx + Fraction(1, 2)
     with pytest.raises(TypeError):
         zx * 0.5
+    with pytest.raises(TypeError):
+        zx * np.full(len(xs), 0.5)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=50, deadline=None)
+def test_modp_matmul_matches_int_mod_p(n, k, m, seed):
+    # the dense reference product of the modp tests, against Python ints
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, numerics.P, size=(n, k))
+    b = rng.integers(0, numerics.P, size=(k, m))
+    want = _ints(a.tolist()).dot(_ints(b.tolist())) % numerics.P
+    prod = numerics.matmul(numerics.zp_array(a), numerics.zp_array(b))
+    assert isinstance(prod, numerics.ModP)
+    assert prod.tolist() == want.tolist()
 
 
 def _block_diag(blocks):
@@ -274,7 +352,7 @@ def test_solve_blocks_both_modes(n_blocks, n, k, seed):
     # |det a| <= (25 * 3 ** 0.5) ** 3 < P, so a is invertible mod P too
     za, zb = numerics.zp_array(a), numerics.zp_array(b)
     zx = numerics.solve_blocks(za, zb)
-    assert all(type(x) is numerics.Zp for x in zx.flat)
+    assert isinstance(zx, numerics.ModP) and zx.dtype == np.int64
     for t in range(n_blocks):
         assert np.array_equal(numerics.matmul(za[t], zx[t]), zb[t])
 

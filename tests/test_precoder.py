@@ -140,8 +140,12 @@ def test_build_p_monomial_columns(s1_cfg, s1_point):
 
 
 def _reference_build_p(t_diags, tuples, mu_n, one):
-    """Each entry as a running product of scalar powers, one at a time."""
-    out = np.full((mu_n, len(tuples)), one * 0, dtype=type(one))
+    """Each entry as a running product of scalar powers, one at a time.
+
+    Entries are floats, or Python objects (Fractions, unbounded ints).
+    """
+    out = np.full((mu_n, len(tuples)), one * 0,
+                  dtype=float if isinstance(one, float) else object)
     for k, tup in enumerate(tuples):
         for r in range(mu_n):
             val = one
@@ -165,16 +169,24 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
     elif mode == "modp":
         t_diags = [numerics.zp_array(rng.integers(0, numerics.P, size=mu_n))
                    for _ in range(gamma)]
-        one = numerics.Zp(1)
+        one = 1   # the reference multiplies Python ints, reduced at the end
     else:
         t_diags = list(rng.uniform(-4.0, 4.0, size=(gamma, mu_n)))
         one = 1.0
     for form in ("wide", "narrow"):
         tuples = exponent_tuples(b, n, gamma, form)
         p = build_p(t_diags, tuples, mu_n)
-        ref = _reference_build_p(t_diags, tuples, mu_n, one)
+        if mode == "modp":
+            ref = _reference_build_p([np.array(t.tolist(), dtype=object)
+                                      for t in t_diags], tuples, mu_n, one)
+            ref %= numerics.P
+        else:
+            ref = _reference_build_p(t_diags, tuples, mu_n, one)
         assert p.shape == ref.shape == (mu_n, len(tuples))
-        if mode != "float":
+        if mode == "modp":
+            assert isinstance(p, numerics.ModP) and p.dtype == np.int64
+            assert p.tolist() == ref.tolist()
+        elif mode == "rational":
             assert p.dtype == object
             assert all(type(x) is type(one) for x in p.flat)
             assert np.array_equal(p, ref)

@@ -157,8 +157,8 @@ def test_max_sum_weighted(s1_cfg):
 def enumerated_optimum(cfg, weights):
     """The same LP over the enumerated subset cuts: one row per cut."""
     cons = enumerate_constraints(cfg)
-    value, _ = region._simplex_max([list(c.coeffs) for c in cons],
-                                   [c.bound for c in cons], weights)
+    value, _, _ = region._simplex_max([list(c.coeffs) for c in cons],
+                                      [c.bound for c in cons], weights)
     return value
 
 
@@ -182,6 +182,33 @@ def test_max_sum_matches_enumerated_lp(instance):
     assert value == enumerated_optimum(cfg, weights)
     assert check_point_bruteforce(cfg, point).feasible
     assert sum(w * x for w, x in zip(weights, point.as_vector())) == value
+
+
+def certified_optimum(a, b, c):
+    """_simplex_max's optimum, checked by its primal and dual solutions."""
+    value, x, y = region._simplex_max(a, b, c)
+    rows, cols = range(len(a)), range(len(c))
+    # primal: x >= 0, a x <= b, c.x == value
+    assert all(xj >= 0 for xj in x)
+    assert all(sum(a[i][j] * x[j] for j in cols) <= b[i] for i in rows)
+    assert sum(c[j] * x[j] for j in cols) == value
+    # dual: y >= 0, y^T a >= c, y.b == value; with the primal, optimality
+    assert len(y) == len(a)
+    assert all(yi >= 0 for yi in y)
+    assert all(sum(y[i] * a[i][j] for i in rows) >= c[j] for j in cols)
+    assert sum(y[i] * b[i] for i in rows) == value
+    return value
+
+
+@given(lp_instances())
+@settings(max_examples=120, deadline=None)
+def test_max_sum_dual_certifies_optimum(instance):
+    cfg, weights = instance
+    value, _ = max_sum_dof(cfg, weights)
+    assert certified_optimum(*region._top_k_lp(cfg, weights)) == value
+    cons = enumerate_constraints(cfg)
+    assert certified_optimum([list(c.coeffs) for c in cons],
+                             [c.bound for c in cons], weights) == value
 
 
 @pytest.mark.parametrize("lb", range(2, 11))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,34 @@ def test_run_certified_past_the_rational_slot_cap(s1_cfg, s1_point):
     assert r.passed and r.mode == "modp"
     assert r.lambda1 == r.lambda2 == {"rows": 108, "cols": 85, "rank": 85,
                                       "full": True}
+
+
+def test_report_keeps_only_plain_counts(s1_cfg, s1_point):
+    # a kept report stays small: no per-instance dict, no numpy objects
+    for mode in ("float", "modp"):
+        r = run_experiment(s1_cfg, s1_point, 3, 31, mode)
+        assert not hasattr(r, "__dict__")
+        for f in dataclasses.fields(r):
+            value = getattr(r, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(x, (np.generic, np.ndarray)), f.name
+        assert r.lambda_counts == tuple(
+            r.to_dict()[k][c] for k in ("lambda1", "lambda2")
+            for c in ("rows", "cols", "rank"))
+    # the two BSs differ here, so each dict is read from its own counts
+    mac = SigmaConfig(2, 1, 2, 0, 0)
+    r = run_experiment(mac, DofPoint.make(da=["1", "1"]), 1, 3)
+    assert r.lambda1 == {"rows": 2, "cols": 2, "rank": 2, "full": True}
+    assert r.lambda2 == {"rows": 1, "cols": 0, "rank": 0, "full": True}
+
+
+def test_modp_certifies_big_n2(big_cfg, big_point):
+    # mu_n = 486 slots, past rational mode's cap; no other test certifies it
+    r = run_experiment(big_cfg, big_point, 2, 0, "modp")
+    assert r.alignment_ok and r.column_subset_ok and r.pairwise_ok
+    assert r.lambda1 == r.lambda2 == {"rows": 972, "cols": 160, "rank": 160,
+                                      "full": True}
+    assert r.passed and r.mu_n == 486
 
 
 def _verdicts(report):
