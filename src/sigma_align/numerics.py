@@ -5,10 +5,14 @@ means rational mode, with ``fractions.Fraction`` entries; a ``ModP`` array
 holds int64 residues modulo the prime P, and means modp mode.  The
 channel draw picks the array type, and the rest of the package computes
 with numpy expressions that work on each; this module is the one place
-that branches on it (``rank`` and ``columns_subset_of``), and the only
-one that holds float thresholds.  A stack of blocks along a leading axis
-stands for the block-diagonal matrix they form; ``solve_blocks`` and the
-modp ``rank`` treat all of its blocks in one batched elimination.
+that branches on it (``rank``, ``columns_subset_of`` and
+``aligned_within``), and the only one that holds float thresholds.  A
+float rank is an SVD after one max-norm row and column pass.  In exact
+modes a literal column match is a span proof, so ``aligned_within``
+ranks only what the match leaves open.  A stack of blocks along a
+leading axis stands for the block-diagonal matrix they form;
+``solve_blocks`` and the modp ``rank`` treat all of its blocks in one
+batched elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .errors import DimensionMismatch, EmptyMatrix
 # not settable: a float pass is returned without an exact rerun, so the
 # cutoff that makes it a pass is part of the certification rule.
 # Singular values s <= REL_RANK_TOL * s_max * blocks * max(rows, cols)
-# count as zero (after equilibration).
+# count as zero, after one max-norm row and column pass has brought every
+# nonzero row and column maximum to exactly 1.0 (``_equilibrated``).
 REL_RANK_TOL = 1e-9
 # Column a_j equals column b_k when
 # max|a_j - b_k| <= COL_MATCH_TOL * max(1, max|b_k|).
@@ -202,22 +207,36 @@ def rank(m: np.ndarray) -> int:
 
 
 def _equilibrated(m: np.ndarray) -> np.ndarray:
-    """Iterative max-norm row/column scaling; preserves rank.
+    """Max-norm row/column scaling; preserves rank.
 
     Monomial-structured columns differ in scale by many orders of
     magnitude, which would otherwise push genuine directions below the
     relative singular-value cutoff.  Rows and columns are those of the
     trailing two axes, so a stack of blocks is scaled exactly as the
     block-diagonal matrix it stands for.
+
+    One pass, rows then columns, reaches the fixed point of repeated
+    passes on finite input.  Dividing a nonzero row by its maximum leaves
+    an entry of magnitude exactly 1.0 in it (x/x rounds to 1) and none
+    above 1.0 (division rounds monotonically).  A column holding such an
+    entry has maximum 1.0 and is divided by 1.0, so the row keeps it; any
+    other nonzero column is divided by its maximum and gains one.  Every
+    nonzero row and column then has maximum exactly 1.0, and a further
+    pass divides by 1.0, which changes no bit.  An inf or nan entry makes
+    its row maximum non-finite; further passes spread the nan, so such
+    input gets all five.
     """
     out = np.array(m, dtype=float)
     for _ in range(5):
         rs = np.max(np.abs(out), axis=-1, keepdims=True)
+        finite = np.isfinite(rs).all()
         rs[rs == 0.0] = 1.0
         out /= rs
         cs = np.max(np.abs(out), axis=-2, keepdims=True)
         cs[cs == 0.0] = 1.0
         out /= cs
+        if finite:
+            break
     return out
 
 
@@ -228,6 +247,37 @@ def subspace_contains(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape[1] == 0:
         return True
     return rank(np.hstack([a, b])) == rank(b)
+
+
+def aligned_within(sides) -> tuple[bool, bool]:
+    """Span and column verdicts for every (wide, moved matrices) pair.
+
+    Returns whether every moved matrix lies in the column span of its
+    wide matrix, and whether every one of its columns equals a column of
+    the wide matrix (``columns_subset_of``).  Once the span verdict is
+    False no further rank runs, and once the column verdict is False
+    columns are matched only where that can spare an exact-mode rank.  A
+    wide matrix is ranked at most once, for all of its moved matrices.  In
+    exact modes a literal column match is itself a proof of span
+    containment, so a moved matrix whose columns all match is not ranked
+    at all; in float mode the match is within a tolerance and is no such
+    proof.
+    """
+    span_ok = subset_ok = True
+    for wide, moved_list in sides:
+        wide_rank = None
+        for moved in moved_list:
+            if moved.shape[0] != wide.shape[0]:
+                raise DimensionMismatch(f"{moved.shape} vs {wide.shape}")
+            exact = is_exact(wide)
+            match = ((subset_ok or (exact and span_ok))
+                     and columns_subset_of(moved, wide))
+            subset_ok = subset_ok and match
+            if span_ok and moved.shape[1] and not (exact and match):
+                if wide_rank is None:
+                    wide_rank = rank(wide)
+                span_ok = rank(np.hstack([moved, wide])) == wide_rank
+    return span_ok, subset_ok
 
 
 def columns_subset_of(a: np.ndarray, b: np.ndarray) -> bool:

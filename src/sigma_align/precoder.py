@@ -97,8 +97,10 @@ def select_sets(cfg: SigmaConfig, d: DofPoint):
     (their cross messages span the interference space at BS 1); mirrored
     for s1.  A side whose group fits within the antennas needs no set.
     """
-    if not region.check_point(cfg, d).feasible:
-        raise InfeasiblePoint("DoF point outside the region")
+    result = region.check_point(cfg, d)
+    if not result.feasible:
+        labels = [c.label for c in result.violated]
+        raise InfeasiblePoint(f"violated: {labels}")
     need1 = cfg.lb > cfg.n1
     need2 = cfg.lb > cfg.n2
     s2 = tuple(j + 1 for j in region._top_k_subset(d.db2, cfg.n1)) \

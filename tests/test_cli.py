@@ -238,8 +238,11 @@ def test_ia_run_infeasible_exits_2(tmp_path, capsys):
     cfg["d"] = {"db1": ["1", "1"], "db2": ["1", "1"]}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
-    code, _ = run_cli(["ia", "run", "--config", str(p)], capsys)
+    code = cli.main(["ia", "run", "--config", str(p)])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "infeasible: violated: ['pair:b1<=1', 'pair:b2<=1', "
+        "'mac:bs1:J={1}', 'mac:bs2:J={1}']\n")
 
 
 def test_ia_run_rational_mode(s1_config_file, capsys):

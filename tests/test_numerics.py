@@ -384,3 +384,58 @@ def test_rank_of_blocks_uses_the_full_matrix_cutoff():
     blocks = np.array([[[1.0, 1.0], [1.0, 1.0 + 4e-8]]] * 10)
     assert rank(blocks[:1]) == 2
     assert rank(blocks) == rank(_block_diag(blocks)) == 10
+
+
+def _equilibrated_5_passes(m):
+    """The five-pass max-norm scaling that ``_equilibrated`` shortcuts."""
+    out = np.array(m, dtype=float)
+    for _ in range(5):
+        rs = np.max(np.abs(out), axis=-1, keepdims=True)
+        rs[rs == 0.0] = 1.0
+        out /= rs
+        cs = np.max(np.abs(out), axis=-2, keepdims=True)
+        cs[cs == 0.0] = 1.0
+        out /= cs
+    return out
+
+
+@st.composite
+def scaling_inputs(draw, finite=False):
+    """2-D and 3-D arrays with signs, zeros, zero rows and columns,
+    magnitudes from subnormal up to 1e308 and, unless finite, inf/nan."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))
+    size = int(np.prod(shape))
+    mant = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    expo = draw(st.lists(st.integers(-1070, 1023), min_size=size,
+                         max_size=size))
+    a = np.ldexp(np.array(mant), np.array(expo)).reshape(shape)
+    zero = st.lists(st.booleans(), min_size=1)
+    rows = np.resize(draw(zero), shape[-2])
+    cols = np.resize(draw(zero), shape[-1])
+    a[..., rows & draw(st.booleans()), :] = 0.0
+    a[..., cols & draw(st.booleans())] = 0.0
+    if not finite:
+        for _ in range(draw(st.integers(0, 2))):
+            idx = tuple(draw(st.integers(0, k - 1)) for k in shape)
+            a[idx] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return a
+
+
+@given(scaling_inputs())
+@settings(max_examples=500, deadline=None)
+def test_equilibrated_matches_five_passes(a):
+    # byte for byte, so nan payloads and the sign of zero agree too
+    got, want = numerics._equilibrated(a), _equilibrated_5_passes(a)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(scaling_inputs(finite=True))
+@settings(max_examples=300, deadline=None)
+def test_equilibrated_is_a_fixed_point(a):
+    out = numerics._equilibrated(a)
+    assert numerics._equilibrated(out).tobytes() == out.tobytes()
+    mags = np.abs(out)
+    for axis in (-1, -2):
+        peak = mags.max(axis=axis)
+        assert np.all((peak == 1.0) | (peak == 0.0))

@@ -44,7 +44,49 @@ def test_alignment_negative_perturbation_modp(s1_cfg, s1_point):
     assert check_alignment(ps, t_set)["column_subset_ok"]
     ps.p22 = ps.p22.copy()
     ps.p22[0, 0] += 1
-    assert not check_alignment(ps, t_set)["column_subset_ok"]
+    res = check_alignment(ps, t_set)
+    assert not res["column_subset_ok"]
+    assert not res["alignment_ok"]
+
+
+def test_alignment_scaled_columns_modp(s1_cfg, s1_point):
+    # 2 * p22 spans the same space, but none of its columns is literally
+    # in p21, so the span verdict must come from the ranks
+    _, _, t_set, ps = construction(s1_cfg, s1_point, 1, 3, "modp")
+    ps.p22 = 2 * ps.p22
+    res = check_alignment(ps, t_set)
+    assert res["alignment_ok"]
+    assert not res["column_subset_ok"]
+
+
+def _count_ranks(monkeypatch):
+    calls = []
+    rank = numerics.rank
+
+    def counting(m):
+        calls.append(m.shape)
+        return rank(m)
+    monkeypatch.setattr(numerics, "rank", counting)
+    return calls
+
+
+def test_alignment_ranks_each_wide_matrix_once(big_cfg, big_point,
+                                               monkeypatch):
+    # four T diagonals, two per side: one wide rank per side, not per T
+    _, _, t_set, ps = construction(big_cfg, big_point, 1, 0)
+    calls = _count_ranks(monkeypatch)
+    res = check_alignment(ps, t_set)
+    assert res["alignment_ok"] and res["checked"] == 4
+    assert len(calls) == 6
+
+
+def test_alignment_column_match_needs_no_rank(s1_cfg, s1_point,
+                                              monkeypatch):
+    _, _, t_set, ps = construction(s1_cfg, s1_point, 3, 0, "modp")
+    calls = _count_ranks(monkeypatch)
+    res = check_alignment(ps, t_set)
+    assert res["alignment_ok"] and res["column_subset_ok"]
+    assert calls == []
 
 
 BIG_POINT = DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3)
