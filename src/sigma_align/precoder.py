@@ -188,7 +188,9 @@ def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
     gamma = len(t_diags)
     if any(len(tup.alphas) != gamma for tup in tuples):
         raise InconsistentPlan("exponent tuple arity != number of T pairs")
-    alphas = np.reshape([tup.alphas for tup in tuples], (len(tuples), gamma))
+    # int64 even with no tuples: ModP powers take only integer exponents
+    alphas = np.array([tup.alphas for tup in tuples],
+                      dtype=np.int64).reshape(len(tuples), gamma)
     # (mu_n, gamma), a transposed view: its power runs faster than a
     # stack along the last axis; gamma = 0 gives columns of ones
     x = np.stack(t_diags).T if gamma else np.ones((mu_n, 0))

@@ -245,6 +245,21 @@ def test_ia_run_infeasible_exits_2(tmp_path, capsys):
         "'mac:bs1:J={1}', 'mac:bs2:J={1}']\n")
 
 
+def test_ia_run_modp_with_an_empty_structured_matrix(tmp_path):
+    # a zero-DoF message leaves a structured matrix with no columns
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({
+        "cfg": {"n1": 2, "n2": 2, "la": 0, "lb": 3, "lc": 0},
+        "d": {"db1": ["0", "1", "0"], "db2": ["1", "0", "0"]},
+        "n": 1, "seed": 3, "trials": 1}))
+    proc = run_cli_process(["ia", "run", "--config", str(p),
+                            "--mode", "modp"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["all_pass"] is True
+    assert doc["trials"][0]["mode"] == "modp"
+
+
 def test_ia_run_rational_mode(s1_config_file, capsys):
     code, out = run_cli(["ia", "run", "--config", s1_config_file,
                          "--mode", "rational", "--trials", "1"], capsys)

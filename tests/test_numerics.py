@@ -439,3 +439,118 @@ def test_equilibrated_is_a_fixed_point(a):
     for axis in (-1, -2):
         peak = mags.max(axis=axis)
         assert np.all((peak == 1.0) | (peak == 0.0))
+
+
+def _svd_count(e):
+    """``rank``'s SVD count on an equilibrated array, with no full-rank
+    certificate: the reference of the tests below."""
+    rows, cols = e.shape[-2:]
+    s = np.linalg.svd(e, compute_uv=False)
+    if s.max() == 0.0:
+        return 0
+    cutoff = (numerics.REL_RANK_TOL * s.max() * (e.size // (rows * cols))
+              * max(rows, cols))
+    return int(np.sum(s > cutoff))
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+@st.composite
+def known_spectrum(draw):
+    """(e, ratio): blocks U diag(s) V^T with s_max = 1 in the first block
+    and each block's s_min at a drawn multiple of the nominal cutoff
+    REL_RANK_TOL * blocks * max(rows, cols), from 1e-3 to 1e3, with extra
+    weight on (1, 2), where the certificate must decline; ratio is the
+    smallest of them.  Tall, wide and square, with up to 400 rows or
+    columns: from about 100 on, tau rather than the rounding allowance
+    decides the certificate."""
+    n_blocks = draw(st.integers(1, 3)) if draw(st.booleans()) else None
+    k = draw(st.integers(1, 12))
+    long = draw(st.one_of(st.integers(k, 12), st.integers(100, 400)))
+    rows, cols = (long, k) if draw(st.booleans()) else (k, long)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nominal = numerics.REL_RANK_TOL * (n_blocks or 1) * max(rows, cols)
+    ratio = st.one_of(st.floats(-3, 3).map(lambda x: 10.0 ** x),
+                      st.floats(1.0, 2.0))
+    blocks, ratios = [], []
+    for b in range(n_blocks or 1):
+        r = draw(ratio)
+        s = np.sort((r * nominal) ** rng.uniform(0, 1, size=k))[::-1]
+        s[-1] = r * nominal
+        if b == 0:
+            s[0] = 1.0
+        u = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(cols, k)))[0]
+        blocks.append((u * s) @ v.T)
+        ratios.append(r if k > 1 or b else np.inf)   # s_min = s_max: no cutoff
+    e = np.stack(blocks) if n_blocks else blocks[0]
+    return e, min(ratios)
+
+
+@given(known_spectrum())
+@settings(max_examples=400, deadline=None)
+def test_certificate_claims_only_what_the_svd_counts(case):
+    e, ratio = case
+    rows, cols = e.shape[-2:]
+    n_blocks = e.size // (rows * cols)
+    full = n_blocks * min(rows, cols)
+    certified = numerics._certified_full(e, n_blocks)
+    if certified:
+        assert _svd_count(e) == full
+    if ratio < 2.0:
+        assert not certified     # tau is at least twice the cutoff
+    if ratio >= 500.0:
+        assert certified         # far above every allowance at these sizes
+
+
+@st.composite
+def rank_inputs(draw):
+    """Known-spectrum matrices with rows and columns rescaled by up to 1e3
+    either way, zero rows or columns, and inf or nan entries."""
+    e, _ = draw(known_spectrum())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = e * 10.0 ** rng.uniform(-3, 3, size=e.shape[-2:][:1] + (1,))
+    m = m * 10.0 ** rng.uniform(-3, 3, size=e.shape[-1:])
+    if draw(st.booleans()):
+        m[..., rng.integers(m.shape[-2]), :] = 0.0
+    if draw(st.booleans()):
+        m[..., rng.integers(m.shape[-1])] = 0.0
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        idx = tuple(int(rng.integers(n)) for n in m.shape)
+        m[idx] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return m
+
+
+@given(rank_inputs())
+@settings(max_examples=400, deadline=None)
+def test_rank_matches_the_svd_count(m):
+    want = _outcome(lambda a: _svd_count(numerics._equilibrated(a)), m)
+    assert _outcome(rank, m) == want
+
+
+def test_big_n2_float_counts_only_the_alignment_matrices(monkeypatch):
+    # 13 ranks: the 2 channel stacks, 3 pairwise matrices, 2 Lambdas and the
+    # 2 wide structured matrices are certified full by Cholesky; the 4
+    # alignment hstacks, deficient by design, go straight to the SVD
+    from sigma_align import verify
+    from sigma_align.region import DofPoint, SigmaConfig
+    calls = {"svd": [], "cholesky": []}
+    for name, calls_of in calls.items():
+        def counting(a, *args, _f=getattr(np.linalg, name), _calls=calls_of,
+                     **kwargs):
+            _calls.append(a.shape)
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    r = verify.run_experiment(
+        SigmaConfig(2, 2, 0, 3, 0),
+        DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3), 2, 31, "float")
+    assert r.passed
+    assert r.lambda1 == r.lambda2 == {"rows": 972, "cols": 160, "rank": 160,
+                                      "full": True}
+    assert calls["svd"] == [(486, 52)] * 4
+    assert len(calls["cholesky"]) == 9

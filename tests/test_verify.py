@@ -320,6 +320,23 @@ def test_modp_certifies_big_n2(big_cfg, big_point):
     assert r.passed and r.mu_n == 486
 
 
+# db1 = (0, 1, 0), db2 = (1, 0, 0): the zero-DoF messages leave a
+# structured matrix with no columns
+EMPTY_P = (SigmaConfig(2, 2, 0, 3, 0),
+           DofPoint.make(db1=["0", "1", "0"], db2=["1", "0", "0"]))
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
+def test_empty_structured_matrix_every_mode(mode):
+    pl, _, _, ps = construction(*EMPTY_P, 1, 3, mode)
+    assert 0 in [p.shape[1] for p in (ps.p11, ps.p12, ps.p21, ps.p22)
+                 if p is not None]
+    r = run_experiment(*EMPTY_P, 1, 3, mode)
+    assert r.passed and r.mode == mode
+    assert r.lambda1 == {"rows": 32, "cols": 8, "rank": 8, "full": True}
+    assert r.lambda2["full"]
+
+
 def _verdicts(report):
     """Everything a report says except how the draw was made."""
     doc = report.to_dict()
