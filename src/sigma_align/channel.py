@@ -6,6 +6,8 @@ one channel vector per slot.  This module keeps that structure slot-wise
 and never builds H_tilde: ``apply`` multiplies by it one slot at a time,
 the stack of an alignment set's expanded channels is a (mu_n, N_i, N_i)
 array of per-slot blocks, and each T matrix is its length-mu_n diagonal.
+Whether that stack is invertible is decided once, by the solve for the T
+diagonals (``numerics.solve_blocks``), in every mode.
 Every product is elementwise numpy, so float64, Fraction and
 ``numerics.ModP`` arrays take the same code path.
 
@@ -138,17 +140,13 @@ def stack(draw: ChannelDraw, i: int, s_set) -> np.ndarray:
     Returns a (mu_n, N_i, N_i) array whose block t holds, in column k, the
     slot-t channel of the k-th set member at BS i.  Up to a column
     permutation the dense stack is block-diagonal with these blocks, so it
-    is invertible exactly when every block is; otherwise SingularStack.
+    is invertible exactly when every block is.  The blocks are returned
+    as drawn, singular or not; ``compute_t`` decides.
     """
     n_i = draw.cfg.n1 if i == 1 else draw.cfg.n2
-    s_set = tuple(s_set)
     if len(s_set) != n_i:
         raise ValueError(f"need exactly {n_i} set members, got {len(s_set)}")
-    blocks = np.stack([_series(draw, ("b", i, j)).T for j in s_set], axis=-1)
-    if numerics.rank(blocks) != n_i * draw.mu_n:
-        raise SingularStack(
-            f"stacked channel at BS {i}, set {s_set}, seed {draw.seed}")
-    return blocks
+    return np.stack([_series(draw, ("b", i, j)).T for j in s_set], axis=-1)
 
 
 def compute_t(draw: ChannelDraw, i: int, j: int, s_set) -> list[np.ndarray]:
@@ -156,14 +154,17 @@ def compute_t(draw: ChannelDraw, i: int, j: int, s_set) -> list[np.ndarray]:
 
     T_k is the length-mu_n diagonal with
     H_tilde(b, i, j) = sum_k H_tilde(b, i, s_k) @ diag(T_k); slot t solves
-    stack(i, s_set)[t] @ x = h_j[:, t] and sets T_k[t] = x[k].
+    stack(i, s_set)[t] @ x = h_j[:, t] and sets T_k[t] = x[k].  A
+    singular stack (``numerics.solve_blocks``'s rule) raises SingularStack.
     """
+    s_set = tuple(s_set)
     if j in s_set:
-        raise ValueError(f"user {j} is in the alignment set {tuple(s_set)}")
+        raise ValueError(f"user {j} is in the alignment set {s_set}")
     blocks = stack(draw, i, s_set)
     target = _series(draw, ("b", i, j)).T[:, :, None]
     try:
         x = numerics.solve_blocks(blocks, target)
     except np.linalg.LinAlgError as e:
-        raise SingularStack(str(e)) from e
+        raise SingularStack(
+            f"stacked channel at BS {i}, set {s_set}, seed {draw.seed}") from e
     return [x[:, k, 0] for k in range(len(s_set))]

@@ -217,11 +217,10 @@ def cmd_ia_sweep(args) -> int:
         for t, r in enumerate(reports):
             achieved = r.achieved
             ratios = [achieved[m]["ratio"] for m in mids]
-            writer.writerow([n, t, r.seed, precoder.plan(
-                rc["cfg"], rc["d"], n).mu_n, _frac_str(r.sum_per_slot),
-                float(r.sum_per_slot)]
-                + [_frac_str(x) for x in ratios]
-                + [float(x) for x in ratios] + [r.passed])
+            writer.writerow([n, t, r.seed, r.mu_n, _frac_str(r.sum_per_slot),
+                             float(r.sum_per_slot)]
+                            + [_frac_str(x) for x in ratios]
+                            + [float(x) for x in ratios] + [r.passed])
             all_pass = all_pass and r.passed
         first = reports[0].achieved
         for m in mids:

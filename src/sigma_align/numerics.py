@@ -14,8 +14,9 @@ alignment matrices, rank-deficient by design, go straight to the SVD.
 In exact modes a literal column match is a span proof, so
 ``aligned_within`` ranks only what the match leaves open.  A stack of
 blocks along a leading axis stands for the block-diagonal matrix they
-form; ``solve_blocks`` and the modp ``rank`` treat all of its blocks in
-one batched elimination.
+form.  ``solve_blocks`` eliminates all of its blocks at once, and is the
+one place that decides whether such a stack is singular; ``rank`` ranks
+exact blocks one at a time.
 """
 
 from __future__ import annotations
@@ -190,23 +191,20 @@ def rank(m: np.ndarray) -> int:
     whose blocks are its trailing two axes, and gets that matrix's rank:
     the sum of the block ranks, with the float cutoff taken from the
     largest singular value of any block and the full matrix's size.
-    Rational matrices are eliminated block by block; a prime-field
-    stack in one batched elimination over all blocks.  A float matrix
-    whose full rank ``_certified_full`` proves gets that rank without an
-    SVD; any other gets the SVD count, and so do small matrices (below
+    Exact matrices are eliminated block by block, over the integers
+    (rational) or over F_P (modp).  A float matrix whose full rank
+    ``_certified_full`` proves gets that rank without an SVD; any other
+    gets the SVD count, and so do small matrices (below
     ``_CERTIFY_FROM``) and those tagged by ``_counted``, where the proof
     would not pay.
     """
     if m.size == 0:
         raise EmptyMatrix(f"rank of empty {m.shape} matrix")
     rows, cols = m.shape[-2:]
-    if isinstance(m, ModP):
-        a = np.array(m.view(np.ndarray))
-        if a.ndim == 2:
-            return _rank_modp(a)
-        return _rank_modp_blocks(a.reshape(-1, rows, cols))
     if is_exact(m):
-        return sum(_rank_exact(b) for b in m.reshape(-1, rows, cols))
+        rank_block = _rank_modp if isinstance(m, ModP) else _rank_exact
+        blocks = np.array(m.view(np.ndarray)).reshape(-1, rows, cols)
+        return sum(rank_block(b) for b in blocks)
     e = _equilibrated(m)
     n_blocks = m.size // (rows * cols)
     k = min(rows, cols)
@@ -336,15 +334,6 @@ def _equilibrated(m: np.ndarray) -> np.ndarray:
         if finite:
             break
     return out
-
-
-def subspace_contains(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff the column span of ``a`` lies inside the column span of ``b``."""
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    if a.shape[1] == 0:
-        return True
-    return rank(np.hstack([a, b])) == rank(b)
 
 
 def aligned_within(sides) -> tuple[bool, bool]:
@@ -479,60 +468,30 @@ def _rank_modp(a: np.ndarray) -> int:
     return r
 
 
-def _rank_modp_blocks(a: np.ndarray) -> int:
-    """Sum of the ranks over F_P of a (blocks, rows, cols) int64 array.
-
-    ``_rank_modp``'s elimination on every block at once, for a stack of
-    many small blocks, where a Python loop over the blocks would cost one
-    step per block and column.  Each block keeps its own pivot count r:
-    its pivot row is swapped into row r (by fancy indexing, only when
-    some block needs it), and the sliced update runs from the lowest r
-    down, with f = 0 on the rows at or above each block's r, which are
-    only rescaled.
-    """
-    if a.shape[2] > a.shape[1]:
-        a = a.transpose(0, 2, 1).copy()
-    n_blocks, nrows, ncols = a.shape
-    ranks = np.zeros(n_blocks, dtype=np.intp)
-    row_ids, block_ids = np.arange(nrows), np.arange(n_blocks)
-    for col in range(ncols):
-        cand = (a[:, :, col] != 0) & (row_ids >= ranks[:, None])
-        src = cand.argmax(axis=1)
-        live = cand[block_ids, src]   # the block has a pivot in this column
-        if not live.any():
-            continue
-        if np.any(src != ranks):
-            src = np.where(live, src, ranks)
-            a[block_ids, ranks, col:], a[block_ids, src, col:] = \
-                a[block_ids, src, col:], a[block_ids, ranks, col:]
-        prow = a[block_ids, ranks, col:]
-        lo = ranks.min() + 1
-        below = a[:, lo:, col:]
-        f = np.where(row_ids[lo:] > ranks[:, None], below[:, :, 0], 0)
-        below *= np.where(live, prow[:, 0], 1)[:, None, None]
-        below += f[:, :, None] * (P - prow)[:, None, :]
-        np.fmod(below, P, out=below)
-        ranks += live
-    return int(ranks.sum())
-
-
 def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[t] @ x[t] = b[t] for every block t, in either mode.
+    """Solve a[t] @ x[t] = b[t] for every block t, in every mode.
 
     ``a`` is (blocks, n, n) and ``b`` is (blocks, n, k).  LU elimination
     with partial pivoting, then back substitution, runs on all blocks at
     once.  Every step is elementwise numpy, so float64, Fraction and ModP
     arrays take the same path and the exact modes stay exact.  As in LAPACK's
     getrf/getrs, each division multiplies by the pivot's reciprocal, which
-    keeps float results on the rounding of numpy.linalg.solve.  Raises
-    numpy.linalg.LinAlgError on a singular block, mirroring
-    numpy.linalg.solve.
+    keeps float results on the rounding of numpy.linalg.solve.
+
+    Raises numpy.linalg.LinAlgError on a singular stack, and this is the
+    one place that decides it.  In exact modes a zero pivot is the test:
+    partial pivoting meets one exactly when a block is singular.  A float
+    stack is singular when ``rank`` of the block-diagonal matrix it stands
+    for is below blocks * n, so the usual float cutoff applies; a zero
+    pivot can then only come from rounding, and raises too.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape[:2] != a.shape[:2]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+    n_blocks, n = a.shape[:2]
+    if not is_exact(a) and rank(a) < n_blocks * n:
+        raise np.linalg.LinAlgError("singular block")
     a, b = a.copy(), b.copy()
-    n = a.shape[1]
-    blocks = np.arange(a.shape[0])
+    blocks = np.arange(n_blocks)
     inv_pivots = []
     for col in range(n):
         piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)

@@ -77,10 +77,6 @@ class PrecoderSet:
     p12: np.ndarray | None
     p21: np.ndarray | None
     p22: np.ndarray | None
-    tuples11: list[ExponentTuple] = field(default_factory=list)
-    tuples12: list[ExponentTuple] = field(default_factory=list)
-    tuples21: list[ExponentTuple] = field(default_factory=list)
-    tuples22: list[ExponentTuple] = field(default_factory=list)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     q: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -241,7 +237,7 @@ def compute_t_set(draw: channel_mod.ChannelDraw, pl: AlignmentPlan) -> TSet:
 
 
 def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
-             seed: int, t_set: TSet | None = None) -> PrecoderSet:
+             seed: int, t_set: TSet) -> PrecoderSet:
     """Build the structured matrices and every message's beamformer.
 
     Set members get [structured block | random tail]; out-of-set shared
@@ -253,8 +249,6 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
         raise InconsistentPlan("channel draw length != planned expansion")
     mode = draw.mode
     rng = np.random.default_rng(seed)
-    if t_set is None:
-        t_set = compute_t_set(draw, pl)
     bars = target_bar_dofs(pl, d)
     ps = PrecoderSet(plan=pl, p11=None, p12=None, p21=None, p22=None)
 
@@ -262,16 +256,16 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     # (they shape the interference seen at BS 1), and vice versa.
     if pl.need_align_bs2:   # s1 exists; p11/p12 built from BS-2 pairs
         diags = [t_set.bs2[p] for p in t_set.pairs(2)]
-        ps.tuples11 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "wide")
-        ps.tuples12 = exponent_tuples(pl.b1, pl.n, pl.gamma2, "narrow")
-        ps.p11 = build_p(diags, ps.tuples11, pl.mu_n)
-        ps.p12 = build_p(diags, ps.tuples12, pl.mu_n)
+        ps.p11 = build_p(
+            diags, exponent_tuples(pl.b1, pl.n, pl.gamma2, "wide"), pl.mu_n)
+        ps.p12 = build_p(
+            diags, exponent_tuples(pl.b1, pl.n, pl.gamma2, "narrow"), pl.mu_n)
     if pl.need_align_bs1:   # s2 exists; p21/p22 built from BS-1 pairs
         diags = [t_set.bs1[p] for p in t_set.pairs(1)]
-        ps.tuples21 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
-        ps.tuples22 = exponent_tuples(pl.b2, pl.n, pl.gamma1, "narrow")
-        ps.p21 = build_p(diags, ps.tuples21, pl.mu_n)
-        ps.p22 = build_p(diags, ps.tuples22, pl.mu_n)
+        ps.p21 = build_p(
+            diags, exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide"), pl.mu_n)
+        ps.p22 = build_p(
+            diags, exponent_tuples(pl.b2, pl.n, pl.gamma1, "narrow"), pl.mu_n)
 
     def structured_side(i, s, p_shared, p_pool):
         for j in range(1, pl.cfg.lb + 1):

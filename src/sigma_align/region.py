@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, SubsetExplosion
 
-DEFAULT_SUBSET_CAP = 2 ** 20
+# subset cuts per BS past which enumerate_constraints raises SubsetExplosion
+_SUBSET_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def _mac_constraint(cfg: SigmaConfig, bs: int, n_own: int, own_idxs,
     return Constraint(_unit_coeffs(cfg, idxs), Fraction(n_own), label)
 
 
-def enumerate_constraints(cfg: SigmaConfig,
-                          cap: int = DEFAULT_SUBSET_CAP) -> list[Constraint]:
+def enumerate_constraints(cfg: SigmaConfig) -> list[Constraint]:
     """The complete finite inequality list defining the region.
 
     Families: single-message bounds for groups A and C, pair bounds for
@@ -166,9 +166,9 @@ def enumerate_constraints(cfg: SigmaConfig,
     for bs, n_own, own_idxs, cross_offset in _mac_families(cfg):
         k_max = min(n_own, cfg.lb)
         n_subsets = sum(math.comb(cfg.lb, k) for k in range(k_max + 1))
-        if n_subsets > cap:
+        if n_subsets > _SUBSET_CAP:
             raise SubsetExplosion(
-                f"{n_subsets} subsets for BS {bs} exceeds cap {cap}")
+                f"{n_subsets} subsets for BS {bs} exceeds cap {_SUBSET_CAP}")
         for k in range(k_max + 1):
             for subset in itertools.combinations(range(cfg.lb), k):
                 out.append(_mac_constraint(cfg, bs, n_own, own_idxs,
@@ -211,13 +211,12 @@ def check_point(cfg: SigmaConfig, d: DofPoint) -> CheckResult:
     return CheckResult(feasible=not violated, violated=violated)
 
 
-def check_point_bruteforce(cfg: SigmaConfig, d: DofPoint,
-                           cap: int = DEFAULT_SUBSET_CAP) -> CheckResult:
+def check_point_bruteforce(cfg: SigmaConfig, d: DofPoint) -> CheckResult:
     """Oracle: evaluate every enumerated constraint explicitly."""
     if not d.matches(cfg):
         raise DimensionMismatch("DoF point does not match config shape")
     vec = d.as_vector()
-    violated = [c for c in enumerate_constraints(cfg, cap) if not c.holds(vec)]
+    violated = [c for c in enumerate_constraints(cfg) if not c.holds(vec)]
     return CheckResult(feasible=not violated, violated=violated)
 
 

@@ -162,14 +162,19 @@ def test_stack_blocks_are_the_dense_stack(big_cfg):
 @pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_stack_identical_members_singular(big_cfg, mode):
     # Negative control: two set members with the same channel leave every
-    # slot's block with two equal columns.
+    # slot's block with two equal columns.  stack returns the blocks as
+    # drawn; the solve for the T diagonals finds them singular.
     d = draw(big_cfg, 6, seed=4, mode=mode)
     d.h_b1[1] = d.h_b1[0]
-    with pytest.raises(SingularStack):
-        stack(d, 1, (1, 2))
-    with pytest.raises(SingularStack):
+    blocks = stack(d, 1, (1, 2))
+    assert blocks.shape == (6, 2, 2)
+    assert np.array_equal(blocks[:, :, 0], blocks[:, :, 1])
+    with pytest.raises(SingularStack, match=r"BS 1, set \(1, 2\), seed 4"):
         compute_t(d, 1, 3, (1, 2))
-    stack(d, 1, (1, 3))
+    # user 2 has user 1's channel: T = (1, 0) against the stack of (1, 3)
+    t1, t3 = compute_t(d, 1, 2, (1, 3))
+    assert np.allclose(np.asarray(t1, float), 1, rtol=0, atol=1e-12)
+    assert np.allclose(np.asarray(t3, float), 0, rtol=0, atol=1e-12)
 
 
 def test_compute_t_scalar_ratio(s1_cfg):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sigma_align import numerics
 from sigma_align.errors import DimensionMismatch, EmptyMatrix
-from sigma_align.numerics import (columns_subset_of, exact_matrix, rank,
-                                  subspace_contains)
+from sigma_align.numerics import (aligned_within, columns_subset_of,
+                                  exact_matrix, rank)
 
 
 def test_rank_identity():
@@ -77,18 +77,18 @@ def test_rank_monomial_tall_matrix():
 def test_subspace_contains_column_subset():
     b = np.array([[1.0, 3.0], [2.0, 5.0]])
     a = b[:, :1]
-    assert subspace_contains(a, b)
+    assert aligned_within([(b, [a])])[0]
 
 
 def test_subspace_contains_orthogonal():
     b = np.array([[1.0], [0.0]])
     a = np.array([[0.0], [1.0]])
-    assert not subspace_contains(a, b)
+    assert not aligned_within([(b, [a])])[0]
 
 
 def test_subspace_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        subspace_contains(np.eye(2), np.eye(3))
+        aligned_within([(np.eye(3), [np.eye(2)])])
 
 
 def test_columns_subset_permutation():
@@ -99,7 +99,7 @@ def test_columns_subset_permutation():
 
 def test_columns_subset_scaling_breaks_equality():
     b = np.array([[1.0], [2.0]])
-    assert subspace_contains(2 * b, b)
+    assert aligned_within([(b, [2 * b])]) == (True, False)
     assert not columns_subset_of(2 * b, b)
 
 
@@ -108,7 +108,7 @@ def test_columns_subset_implies_span():
     b = rng.normal(size=(5, 3))
     a = b[:, [1, 1, 2]]
     assert columns_subset_of(a, b)
-    assert subspace_contains(a, b)
+    assert aligned_within([(b, [a])]) == (True, True)
 
 
 def test_columns_subset_exact_mode():
@@ -355,6 +355,28 @@ def test_solve_blocks_both_modes(n_blocks, n, k, seed):
     assert isinstance(zx, numerics.ModP) and zx.dtype == np.int64
     for t in range(n_blocks):
         assert np.array_equal(numerics.matmul(za[t], zx[t]), zb[t])
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_blocks_raises_iff_the_stack_is_singular(n_blocks, n, data):
+    # entries in -2..2 make singular blocks common; |det| <= 48 < P, so a
+    # block is singular over F_P exactly when it is over the rationals
+    ints = np.array([[[data.draw(st.integers(-2, 2)) for _ in range(n)]
+                      for _ in range(n)] for _ in range(n_blocks)])
+    ones = np.ones((n_blocks, n, 1), dtype=int)
+    singular = set()
+    for a, b in ((exact_matrix(ints.reshape(-1, n)).reshape(ints.shape),
+                  exact_matrix(ones.reshape(-1, 1)).reshape(ones.shape)),
+                 (numerics.zp_array(ints), numerics.zp_array(ones))):
+        try:
+            numerics.solve_blocks(a, b)
+            raised = False
+        except np.linalg.LinAlgError:
+            raised = True
+        assert raised == (rank(a) < n_blocks * n)
+        singular.add(raised)
+    assert len(singular) == 1
 
 
 def test_solve_blocks_shape_mismatch():

@@ -204,7 +204,7 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
 def test_assemble_s1(s1_cfg, s1_point, mode):
     pl = plan(s1_cfg, s1_point, 1)
     dr = channel.draw(s1_cfg, pl.mu_n, 7, mode)
-    ps = assemble(pl, s1_point, dr, 7)
+    ps = assemble(pl, s1_point, dr, 7, compute_t_set(dr, pl))
     assert ps.p11.shape == (12, 2)
     assert ps.p12.shape == (12, 1)
     # the minimal set member reuses the shared structured block verbatim
@@ -221,7 +221,7 @@ def test_assemble_column_count_closed_forms(big_cfg, big_point):
     for n in (1, 2):
         pl = plan(big_cfg, big_point, n)
         dr = channel.draw(big_cfg, pl.mu_n, 13, "float")
-        ps = assemble(pl, big_point, dr, 13)
+        ps = assemble(pl, big_point, dr, 13, compute_t_set(dr, pl))
         d1 = big_point.db1[pl.delta1 - 1]
         d2 = big_point.db2[pl.delta2 - 1]
         assert ps.p11.shape[1] == pl.mu0 * n ** pl.gamma1 \
@@ -237,7 +237,7 @@ def test_assemble_random_branch():
     d = DofPoint.make(db1=["1/2", "1/2"], db2=["1/2", "1/2"])
     pl = plan(cfg, d, 3)
     dr = channel.draw(cfg, pl.mu_n, 1, "float")
-    ps = assemble(pl, d, dr, 1)
+    ps = assemble(pl, d, dr, 1, compute_t_set(dr, pl))
     assert ps.p11 is None and ps.p21 is None
     for mid, v in ps.v.items():
         assert v.shape == (2, 1)

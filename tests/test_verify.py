@@ -276,6 +276,32 @@ def test_run_experiment_mac_boundary():
     assert r.sum_per_slot == 2
 
 
+def test_float_singular_stack_is_retried(big_cfg, big_point):
+    # seed 152 draws a stack whose float rank, at the block-diagonal
+    # cutoff, falls short; the retry draws seed 153, which passes
+    r = run_experiment(big_cfg, big_point, 2, 152, "float")
+    assert (r.retries, r.seed, r.passed) == (1, 153, True)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
+def test_stacks_are_ranked_only_by_the_float_solve(big_cfg, big_point, mode,
+                                                   monkeypatch):
+    # exact modes leave singularity to the solve's zero pivot; float ranks
+    # each stack once, inside numerics.solve_blocks
+    solves = []
+    compute_t = channel.compute_t
+
+    def counting_t(*args):
+        solves.append(args[1:])
+        return compute_t(*args)
+    monkeypatch.setattr(channel, "compute_t", counting_t)
+    calls = _count_ranks(monkeypatch)
+    assert run_experiment(big_cfg, big_point, 1, 0, mode).passed
+    stacks = [shape for shape in calls if len(shape) == 3]
+    assert len(solves) == 2
+    assert stacks == ([(96, 2, 2)] * 2 if mode == "float" else [])
+
+
 def test_run_certified_falls_back_to_exact(s1_cfg, s1_point):
     # n=3 exponents overwhelm float precision; exact mode must settle it
     r = run_certified(s1_cfg, s1_point, 3, 0)
