@@ -1,5 +1,7 @@
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +392,58 @@ def test_report_roundtrip(s1_cfg, s1_point):
     assert doc["pass"] is True
     assert doc["sum_per_slot"] == "1/2"
     assert doc["achieved"]["b1_1"]["bar_dof"] == 2
+
+
+# (2,1,1,2,0): lb = 2 fits BS 1's two antennas, so only BS 2 aligns,
+# with s1 = (1,) and s2 = ()
+ONE_SIDE_P = (SigmaConfig(2, 1, 1, 2, 0),
+              DofPoint.make(da=["1/2"], db1=["1/2", "1/4"],
+                            db2=["1/4", "1/4"]))
+S1_P = (SigmaConfig(1, 1, 0, 2, 0),
+        DofPoint.make(db1=["1/3", "1/3"], db2=["1/3", "1/3"]))
+BIG_P = (SigmaConfig(2, 2, 0, 3, 0),
+         DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3))
+
+# (name, point, n, seed, mode); float only where float passes
+GOLDEN_RUNS = (
+    [("s1", S1_P, n, 31, "float") for n in (1, 2)]
+    + [("s1", S1_P, 3, 31, mode) for mode in ("modp", "rational")]
+    + [("big", BIG_P, 1, 31, mode) for mode in ("float", "modp", "rational")]
+    + [("empty", EMPTY_P, 1, 3, "modp")]
+    + [("one_side", ONE_SIDE_P, n, 31, mode)
+       for n in (1, 2) for mode in ("float", "modp")])
+GOLDEN_PATH = Path(__file__).parent / "data" / "reports.json"
+
+
+def _golden_id(name, n, seed, mode):
+    return f"{name}-n{n}-seed{seed}-{mode}"
+
+
+def _report_text(doc):
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "name, point, n, seed, mode", GOLDEN_RUNS,
+    ids=[_golden_id(nm, n, s, m) for nm, _, n, s, m in GOLDEN_RUNS])
+def test_report_matches_golden(name, point, n, seed, mode):
+    # every verdict, rank, achieved ratio and report byte is pinned
+    golden = json.loads(GOLDEN_PATH.read_text())
+    r = run_experiment(*point, n, seed, mode)
+    assert (_report_text(r.to_dict())
+            == _report_text(golden[_golden_id(name, n, seed, mode)]))
+
+
+def test_golden_file_holds_exactly_the_runs():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(_golden_id(nm, n, s, m)
+                                    for nm, _, n, s, m in GOLDEN_RUNS)
+
+
+if __name__ == "__main__":
+    # rewrites tests/data/reports.json; only for a change meant to alter
+    # a report, and the diff of the file says which
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(
+        {_golden_id(nm, n, s, m): run_experiment(*p, n, s, m).to_dict()
+         for nm, p, n, s, m in GOLDEN_RUNS}, indent=1, sort_keys=True) + "\n")
