@@ -162,7 +162,10 @@ def cmd_region_maxsum(args) -> int:
         weights = [_parse_fraction(w) for w in args.weights.split(",")]
     else:
         weights = [Fraction(1)] * cfg.num_messages
-    value, point = region.max_sum_dof(cfg, weights)
+    try:
+        value, point = region.max_sum_dof(cfg, weights)
+    except ValueError as e:   # a negative weight
+        raise ParseError(f"bad --weights: {e}") from e
     doc = {
         "optimum": _frac_str(value),
         "optimum_decimal": float(value),

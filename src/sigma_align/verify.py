@@ -15,9 +15,9 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import numerics, precoder
-from .errors import (InvalidGenerator, RetriesExhausted, SingularStack,
-                     TallnessViolated)
-from .precoder import AlignmentPlan, PrecoderSet, TSet
+from .errors import (InvalidGenerator, RetriesExhausted, SigmaAlignError,
+                     SingularStack, TallnessViolated)
+from .precoder import AlignmentPlan, PrecoderSet
 from .region import DofPoint, SigmaConfig
 
 
@@ -106,18 +106,19 @@ class VerificationReport:
         }
 
 
-def check_alignment(ps: PrecoderSet, t_set: TSet) -> dict:
+def check_alignment(ps: PrecoderSet, t_set: dict) -> dict:
     """Verify every alignment constraint, in both span and column form.
 
-    For each T diagonal at BS 1, diag(T) times the narrow structured
-    matrix must land inside (and, column by column, literally within) the
-    wide one; mirrored at BS 2.  Vacuously true when no side aligns.
+    For each side o that aligns, at BS i, and each T diagonal at BS i,
+    diag(T) times ``narrow[o]`` must land inside (and, column by column,
+    literally within) ``wide[o]``.  Vacuously true when no side aligns.
     ``numerics.aligned_within`` ranks each wide matrix once per side, and
     in exact modes skips the span ranks wherever the columns match.
     """
-    sides = [(wide, [t[:, None] * narrow for t in t_side.values()])
-             for t_side, narrow, wide in ((t_set.bs1, ps.p22, ps.p21),
-                                          (t_set.bs2, ps.p12, ps.p11))]
+    sides = []
+    for o, wide in ps.wide.items():
+        i = ps.plan.side(o)[0]
+        sides.append((wide, [t[:, None] * ps.narrow[o] for t in t_set[i]]))
     span_ok, subset_ok = numerics.aligned_within(sides)
     return {"alignment_ok": span_ok, "column_subset_ok": subset_ok,
             "checked": sum(len(moved) for _, moved in sides)}
@@ -149,39 +150,31 @@ def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
     the anchor, which is last), then to the wide structured matrix; this
     is the square channel stack applied to the block-diagonal tails and to
     N_i copies of the wide matrix.  With alignment off it is the plain
-    cross-message columns.
+    cross-message columns.  The cross messages are those of side o, the
+    side that ``AlignmentPlan.side`` pairs with BS i.
     """
     cfg = pl.cfg
     dtype = draw.h_a.dtype
-    n_i = cfg.n1 if i == 1 else cfg.n2
+    n_i, own_group, own_count = ((cfg.n1, "a", cfg.la) if i == 1
+                                 else (cfg.n2, "c", cfg.lc))
     nrows = n_i * pl.mu_n
-    if i == 1:
-        own = [channel_mod.apply(draw, ("a", j), ps.v[f"a{j}"])
-               for j in range(1, cfg.la + 1)]
-        aligned, p_shared, cross_label = pl.need_align_bs1, ps.p21, "b2"
-    else:
-        own = [channel_mod.apply(draw, ("c", j), ps.v[f"c{j}"])
-               for j in range(1, cfg.lc + 1)]
-        aligned, p_shared, cross_label = pl.need_align_bs2, ps.p11, "b1"
+    own = [channel_mod.apply(draw, (own_group, j), ps.v[f"{own_group}{j}"])
+           for j in range(1, own_count + 1)]
     bsig = [channel_mod.apply(draw, ("b", i, j), ps.v[f"b{i}_{j}"])
             for j in range(1, cfg.lb + 1)]
 
     a_block = _hcat(own, nrows, dtype)
     b_block = _hcat(bsig, nrows, dtype)
 
-    if aligned:
-        beta = pl.beta(3 - i)
-        tails = [channel_mod.apply(draw, ("b", i, j),
-                                   ps.q[f"{cross_label}_{j}"])
-                 for j in beta[:-1]]
-        shared = [channel_mod.apply(draw, ("b", i, j), p_shared)
-                  for j in beta]
-        c_block = _hcat(tails + shared, nrows, dtype)
+    o = next(o for o in (1, 2) if pl.side(o)[0] == i)
+    if o in ps.wide:
+        beta = pl.beta(o)
+        cross = ([(j, ps.q[f"b{o}_{j}"]) for j in beta[:-1]]
+                 + [(j, ps.wide[o]) for j in beta])
     else:
-        cross = [channel_mod.apply(draw, ("b", i, j),
-                                   ps.v[f"{cross_label}_{j}"])
-                 for j in range(1, cfg.lb + 1)]
-        c_block = _hcat(cross, nrows, dtype)
+        cross = [(j, ps.v[f"b{o}_{j}"]) for j in range(1, cfg.lb + 1)]
+    c_block = _hcat([channel_mod.apply(draw, ("b", i, j), m)
+                     for j, m in cross], nrows, dtype)
 
     assembled = _hcat([a_block, b_block, c_block], nrows, dtype)
     if assembled.shape[1] > nrows:
@@ -203,13 +196,12 @@ def _lambda_dict(rows: int, cols: int, rank: int) -> dict:
 
 def expected_ratio(pl: AlignmentPlan, mid: str) -> Fraction:
     """Closed-form achieved/target ratio for one message at this n."""
-    n = pl.n
-    base = Fraction(n, n + 1)
-    if mid.startswith("b1_") and int(mid[3:]) in pl.s1:
-        return base ** pl.gamma1
-    if mid.startswith("b2_") and int(mid[3:]) in pl.s2:
-        return base ** pl.gamma2
-    return base ** (pl.gamma1 + pl.gamma2)
+    gamma = pl.gamma1 + pl.gamma2
+    for o in (1, 2):
+        _, s, _, gamma_i = pl.side(o)
+        if mid.startswith(f"b{o}_") and int(mid[3:]) in s:
+            gamma -= gamma_i   # a set member keeps the (n+1) factor at BS i
+    return Fraction(pl.n, pl.n + 1) ** gamma
 
 
 def _bar_dofs(pl: AlignmentPlan, ps: PrecoderSet) -> tuple[int, ...]:
@@ -243,6 +235,9 @@ def lemma1_test(m: int, k: int, exponent_gen, seed: int, mode: str = "float",
     the same row sharing the full exponent tuple) is checked against
     claim_valid.  Returns whether the realized matrix has rank m.
     """
+    if m < 1 or k < 1:
+        raise SigmaAlignError(f"lemma1 needs m >= 1 and k >= 1, got m = {m},"
+                              f" k = {k}")
     rng = np.random.default_rng(seed)
     alphas = np.asarray(exponent_gen(m, k, rng), dtype=int)
     if alphas.shape != (m, m, k):

@@ -93,8 +93,8 @@ def test_criterion_3_exact_alignment():
             details.append(f"n={n}/{mode}:{res['checked']}")
     # negative control: perturbing one structured entry breaks column match
     _, t_set, ps = _construction(S1_CFG, S1_D, 1, seed=17, mode="float")
-    ps.p22 = ps.p22.copy()
-    ps.p22[0, 0] += 1e-3
+    ps.narrow[2] = ps.narrow[2].copy()
+    ps.narrow[2][0, 0] += 1e-3
     negative_fails = not verify.check_alignment(ps, t_set)["column_subset_ok"]
     verdict(3, ok and negative_fails,
             f"all aligned columns matched exactly ({', '.join(details)}); "
@@ -125,12 +125,14 @@ def test_criterion_5_column_count_closed_forms():
         pl, _, ps = _construction(cfg, d, n, seed=5, mode="float")
         d1 = d.db1[pl.delta1 - 1]
         d2 = d.db2[pl.delta2 - 1]
-        ok = ok and ps.p11.shape[1] == pl.mu0 * n ** pl.gamma1 \
+        ok = ok and ps.wide[1].shape[1] == pl.mu0 * n ** pl.gamma1 \
             * (n + 1) ** pl.gamma2 * d1
-        ok = ok and ps.p12.shape[1] == pl.mu0 * n ** (pl.gamma1 + pl.gamma2) * d1
-        ok = ok and ps.p21.shape[1] == pl.mu0 * (n + 1) ** pl.gamma1 \
+        ok = ok and ps.narrow[1].shape[1] == pl.mu0 \
+            * n ** (pl.gamma1 + pl.gamma2) * d1
+        ok = ok and ps.wide[2].shape[1] == pl.mu0 * (n + 1) ** pl.gamma1 \
             * n ** pl.gamma2 * d2
-        ok = ok and ps.p22.shape[1] == pl.mu0 * n ** (pl.gamma1 + pl.gamma2) * d2
+        ok = ok and ps.narrow[2].shape[1] == pl.mu0 \
+            * n ** (pl.gamma1 + pl.gamma2) * d2
     verdict(5, ok, f"structured column counts match closed forms on "
             f"{len(cases)} plans")
 
@@ -225,7 +227,7 @@ def test_criterion_8_degenerate_branches():
     _, _, ps = _construction(fit_cfg, fit_d, 1, seed=11, mode="float")
     r2 = verify.run_certified(fit_cfg, fit_d, 1, 11)
     fit_ok = (pl2.gamma1 == pl2.gamma2 == 0 and pl2.mu_n == pl2.mu0
-              and ps.p11 is None and ps.p21 is None and r2.passed)
+              and ps.wide.get(1) is None and ps.wide.get(2) is None and r2.passed)
     verdict(8, mac_ok and fit_ok,
             f"MAC boundary pass={r.passed} (mu_n={pl.mu_n}); "
             f"no-alignment shared group pass={r2.passed} (mu_n={pl2.mu_n})")

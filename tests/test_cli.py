@@ -145,7 +145,13 @@ def test_bad_seed_env_is_an_error_line(tmp_path, argv):
     ["lemma1", "--m", "3", "--trials", "0"],
     ["ia", "sweep", "--config", "CONFIG", "--n", "3", "--n-max", "2"],
     ["ia", "run", "--config", "CONFIG", "--n-max", "0"],
-], ids=["lemma1-trials-zero", "sweep-n-max-below-n", "run-n-max-below-n"])
+    ["lemma1", "--m", "2", "--k", "0"],
+    ["lemma1", "--m", "-1"],
+    ["lemma1", "--m", "3", "--k", "-1"],
+    ["region", "max-sum", "--config", "CONFIG", "--weights=-1,1,1,1"],
+], ids=["lemma1-trials-zero", "sweep-n-max-below-n", "run-n-max-below-n",
+        "lemma1-k-zero", "lemma1-m-negative", "lemma1-k-negative",
+        "max-sum-negative-weight"])
 def test_vacuous_runs_are_an_error_line(tmp_path, argv):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(S1_CONFIG))

@@ -14,16 +14,16 @@ from sigma_align.region import DofPoint, SigmaConfig
 
 
 def test_select_sets_tiebreak(s1_cfg, s1_point):
-    s1, s2, d1, d2, need1, need2 = select_sets(s1_cfg, s1_point)
+    s1, s2, d1, d2 = select_sets(s1_cfg, s1_point)
     assert s1 == (1,) and s2 == (1,)
     assert d1 == 1 and d2 == 1
-    assert need1 and need2
+    assert s2 and s1
 
 
 def test_select_sets_unique_max():
     cfg = SigmaConfig(1, 1, 0, 2, 0)
     d = DofPoint.make(db1=["1/4", "1/4"], db2=["1/4", "1/2"])
-    _, s2, _, delta2, _, _ = select_sets(cfg, d)
+    _, s2, _, delta2 = select_sets(cfg, d)
     assert s2 == (2,)
     assert delta2 == 2
 
@@ -31,8 +31,8 @@ def test_select_sets_unique_max():
 def test_select_sets_skip_when_small():
     cfg = SigmaConfig(2, 2, 0, 1, 0)
     d = DofPoint.make(db1=["1/2"], db2=["1/2"])
-    s1, s2, d1, d2, need1, need2 = select_sets(cfg, d)
-    assert not need1 and not need2
+    s1, s2, d1, d2 = select_sets(cfg, d)
+    assert not s2 and not s1
     assert s1 == () and s2 == ()
 
 
@@ -124,7 +124,7 @@ def test_build_p_monomial_columns(s1_cfg, s1_point):
     pl = plan(s1_cfg, s1_point, 1)
     dr = channel.draw(s1_cfg, pl.mu_n, 21, "rational")
     t_set = compute_t_set(dr, pl)
-    [diag] = [t_set.bs1[p] for p in t_set.pairs(1)]
+    [diag] = t_set[1]
     tuples = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
     p21 = build_p([diag], tuples, pl.mu_n)
     assert p21.shape == (12, 2)
@@ -205,13 +205,13 @@ def test_assemble_s1(s1_cfg, s1_point, mode):
     pl = plan(s1_cfg, s1_point, 1)
     dr = channel.draw(s1_cfg, pl.mu_n, 7, mode)
     ps = assemble(pl, s1_point, dr, 7, compute_t_set(dr, pl))
-    assert ps.p11.shape == (12, 2)
-    assert ps.p12.shape == (12, 1)
+    assert ps.wide[1].shape == (12, 2)
+    assert ps.narrow[1].shape == (12, 1)
     # the minimal set member reuses the shared structured block verbatim
-    assert ps.v["b1_1"] is ps.p11
-    assert ps.v["b2_1"] is ps.p21
+    assert ps.v["b1_1"] is ps.wide[1]
+    assert ps.v["b2_1"] is ps.wide[2]
     # out-of-set user draws its single column from the narrow pool
-    assert numerics.columns_subset_of(ps.v["b1_2"], ps.p12)
+    assert numerics.columns_subset_of(ps.v["b1_2"], ps.narrow[1])
     bars = target_bar_dofs(pl, s1_point)
     for mid, bar in bars.items():
         assert ps.v[mid].shape == (12, bar)
@@ -224,12 +224,14 @@ def test_assemble_column_count_closed_forms(big_cfg, big_point):
         ps = assemble(pl, big_point, dr, 13, compute_t_set(dr, pl))
         d1 = big_point.db1[pl.delta1 - 1]
         d2 = big_point.db2[pl.delta2 - 1]
-        assert ps.p11.shape[1] == pl.mu0 * n ** pl.gamma1 \
+        assert ps.wide[1].shape[1] == pl.mu0 * n ** pl.gamma1 \
             * (n + 1) ** pl.gamma2 * d1
-        assert ps.p12.shape[1] == pl.mu0 * n ** (pl.gamma1 + pl.gamma2) * d1
-        assert ps.p21.shape[1] == pl.mu0 * (n + 1) ** pl.gamma1 \
+        assert ps.narrow[1].shape[1] == pl.mu0 \
+            * n ** (pl.gamma1 + pl.gamma2) * d1
+        assert ps.wide[2].shape[1] == pl.mu0 * (n + 1) ** pl.gamma1 \
             * n ** pl.gamma2 * d2
-        assert ps.p22.shape[1] == pl.mu0 * n ** (pl.gamma1 + pl.gamma2) * d2
+        assert ps.narrow[2].shape[1] == pl.mu0 \
+            * n ** (pl.gamma1 + pl.gamma2) * d2
 
 
 def test_assemble_random_branch():
@@ -238,7 +240,7 @@ def test_assemble_random_branch():
     pl = plan(cfg, d, 3)
     dr = channel.draw(cfg, pl.mu_n, 1, "float")
     ps = assemble(pl, d, dr, 1, compute_t_set(dr, pl))
-    assert ps.p11 is None and ps.p21 is None
+    assert ps.wide.get(1) is None and ps.wide.get(2) is None
     for mid, v in ps.v.items():
         assert v.shape == (2, 1)
         assert numerics.rank(v) == 1

@@ -35,8 +35,8 @@ def test_alignment_s1(s1_cfg, s1_point):
 
 def test_alignment_negative_perturbation(s1_cfg, s1_point):
     _, _, t_set, ps = construction(s1_cfg, s1_point, 1, 3)
-    ps.p22 = ps.p22.copy()
-    ps.p22[0, 0] += 1e-3
+    ps.narrow[2] = ps.narrow[2].copy()
+    ps.narrow[2][0, 0] += 1e-3
     res = check_alignment(ps, t_set)
     assert not res["column_subset_ok"]
 
@@ -44,18 +44,18 @@ def test_alignment_negative_perturbation(s1_cfg, s1_point):
 def test_alignment_negative_perturbation_modp(s1_cfg, s1_point):
     _, _, t_set, ps = construction(s1_cfg, s1_point, 1, 3, "modp")
     assert check_alignment(ps, t_set)["column_subset_ok"]
-    ps.p22 = ps.p22.copy()
-    ps.p22[0, 0] += 1
+    ps.narrow[2] = ps.narrow[2].copy()
+    ps.narrow[2][0, 0] += 1
     res = check_alignment(ps, t_set)
     assert not res["column_subset_ok"]
     assert not res["alignment_ok"]
 
 
 def test_alignment_scaled_columns_modp(s1_cfg, s1_point):
-    # 2 * p22 spans the same space, but none of its columns is literally
-    # in p21, so the span verdict must come from the ranks
+    # 2 * narrow[2] spans the same space, but none of its columns is
+    # literally in wide[2], so the span verdict must come from the ranks
     _, _, t_set, ps = construction(s1_cfg, s1_point, 1, 3, "modp")
-    ps.p22 = 2 * ps.p22
+    ps.narrow[2] = 2 * ps.narrow[2]
     res = check_alignment(ps, t_set)
     assert res["alignment_ok"]
     assert not res["column_subset_ok"]
@@ -110,18 +110,18 @@ def test_column_subset_large_entries_negative(big_cfg, big_point):
     _, _, t_set, ps = construction(big_cfg, big_point, 1, 1)
     assert check_alignment(ps, t_set)["column_subset_ok"]
     # the wide column that a moved BS-2 column lands on, largest first
-    wide = ps.p11
+    wide = ps.wide[1]
     matched = []
-    for t in t_set.bs2.values():
-        col = (t[:, None] * ps.p12)[:, 0]
+    for t in t_set[2]:
+        col = (t[:, None] * ps.narrow[1])[:, 0]
         rel = (np.max(np.abs(wide - col[:, None]), axis=0)
                / np.max(np.abs(wide), axis=0))
         matched.append(int(np.argmin(rel)))
     k = max(matched, key=lambda j: np.max(np.abs(wide[:, j])))
     assert np.max(np.abs(wide[:, k])) > 1e10
     i = int(np.argmax(np.abs(wide[:, k])))
-    ps.p11 = wide.copy()
-    ps.p11[i, k] *= 1 + 1e-6
+    ps.wide[1] = wide.copy()
+    ps.wide[1][i, k] *= 1 + 1e-6
     assert not check_alignment(ps, t_set)["column_subset_ok"]
 
 
@@ -183,10 +183,8 @@ def test_lambda_modes_agree(s1_cfg, s1_point):
 def _floatify(ps):
     out = precoder.PrecoderSet(
         plan=ps.plan,
-        p11=None if ps.p11 is None else ps.p11.astype(float),
-        p12=None if ps.p12 is None else ps.p12.astype(float),
-        p21=None if ps.p21 is None else ps.p21.astype(float),
-        p22=None if ps.p22 is None else ps.p22.astype(float))
+        wide={o: p.astype(float) for o, p in ps.wide.items()},
+        narrow={o: p.astype(float) for o, p in ps.narrow.items()})
     out.v = {k: v.astype(float) for k, v in ps.v.items()}
     out.q = {k: v.astype(float) for k, v in ps.q.items()}
     return out
@@ -357,7 +355,8 @@ EMPTY_P = (SigmaConfig(2, 2, 0, 3, 0),
 @pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_empty_structured_matrix_every_mode(mode):
     pl, _, _, ps = construction(*EMPTY_P, 1, 3, mode)
-    assert 0 in [p.shape[1] for p in (ps.p11, ps.p12, ps.p21, ps.p22)
+    assert 0 in [p.shape[1] for p in (ps.wide.get(1), ps.narrow.get(1),
+                                      ps.wide.get(2), ps.narrow.get(2))
                  if p is not None]
     r = run_experiment(*EMPTY_P, 1, 3, mode)
     assert r.passed and r.mode == mode
