@@ -227,7 +227,8 @@ def test_criterion_8_degenerate_branches():
     _, _, ps = _construction(fit_cfg, fit_d, 1, seed=11, mode="float")
     r2 = verify.run_certified(fit_cfg, fit_d, 1, 11)
     fit_ok = (pl2.gamma1 == pl2.gamma2 == 0 and pl2.mu_n == pl2.mu0
-              and ps.wide.get(1) is None and ps.wide.get(2) is None and r2.passed)
+              and ps.wide.get(1) is None and ps.wide.get(2) is None
+              and r2.passed)
     verdict(8, mac_ok and fit_ok,
             f"MAC boundary pass={r.passed} (mu_n={pl.mu_n}); "
             f"no-alignment shared group pass={r2.passed} (mu_n={pl2.mu_n})")
