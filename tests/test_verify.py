@@ -408,6 +408,7 @@ GOLDEN_RUNS = (
     [("s1", S1_P, n, 31, "float") for n in (1, 2)]
     + [("s1", S1_P, 3, 31, mode) for mode in ("modp", "rational")]
     + [("big", BIG_P, 1, 31, mode) for mode in ("float", "modp", "rational")]
+    + [("big", BIG_P, 2, 31, mode) for mode in ("float", "modp")]
     + [("empty", EMPTY_P, 1, 3, "modp")]
     + [("one_side", ONE_SIDE_P, n, 31, mode)
        for n in (1, 2) for mode in ("float", "modp")])
