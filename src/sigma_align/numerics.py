@@ -9,10 +9,13 @@ that branches on it (``rank``, ``columns_subset_of`` and
 ``aligned_within``), and the only one that holds float thresholds.  A
 float rank is an SVD after one max-norm row and column pass, unless a
 Cholesky factorization of the shifted Gram matrix first proves that the
-SVD would count every singular value (``_certified_full``); the
-alignment matrices, rank-deficient by design, go straight to the SVD.
-In exact modes a literal column match is a span proof, so
-``aligned_within`` ranks only what the match leaves open.  A stack of
+SVD would count every singular value (``_certified_full``).  In exact
+modes a literal column match is a span proof, so ``aligned_within``
+ranks only what the match leaves open.  In float mode the match pairs
+each moved column with a wide one, and ``_certified_span`` proves from
+that pairing and a Cholesky of the wide block that the SVD would give
+the joined alignment matrix, rank-deficient by design, the wide
+matrix's full rank; what it does not prove goes to the SVD.  A stack of
 blocks along a leading axis stands for the block-diagonal matrix they
 form.  ``solve_blocks`` eliminates all of its blocks at once, and is the
 one place that decides whether such a stack is singular; ``rank`` ranks
@@ -234,7 +237,8 @@ def _counted(m: np.ndarray) -> np.ndarray:
 
 
 _U = 2.0 ** -53   # unit roundoff of float64
-# ``rank`` tries the certificate only on matrices whose SVD work,
+# ``rank`` and ``_certified_span`` try their certificates only on
+# matrices whose SVD work,
 # n_blocks * (rows * cols * min(rows, cols) + 1024), reaches this.  Below
 # it the SVD costs no more than the certificate's dozen numpy calls: on a
 # 2-core x86-64 machine (numpy 2.4, OpenBLAS 0.3.31, 2 threads), the two
@@ -282,21 +286,41 @@ def _certified_full(e: np.ndarray, n_blocks: int) -> bool:
        so every singular value clears the cutoff.
     """
     rows, cols = e.shape[-2:]
-    k, big = min(rows, cols), max(rows, cols)
-    if rows * cols * k * _U > REL_RANK_TOL * big / 4:
+    if not _svd_gate(rows, cols):
         return False
     et = np.swapaxes(e, -1, -2)
     g = et @ e if rows >= cols else e @ et
+    return _gram_clears(g, 0, max(rows, cols), n_blocks)
+
+
+def _svd_gate(rows: int, cols: int) -> bool:
+    """Whether an SVD of a rows x cols matrix is accurate enough for the
+    certificates: r*c*k*u <= REL_RANK_TOL * L / 4 (``_certified_full``,
+    step 4)."""
+    k, big = min(rows, cols), max(rows, cols)
+    return rows * cols * k * _U <= REL_RANK_TOL * big / 4
+
+
+def _gram_clears(g: np.ndarray, first: int, big: int, n_blocks: int) -> bool:
+    """Steps 1-3 of ``_certified_full`` on a computed Gram stack ``g``.
+
+    The norm bound N, and so tau, come from all of ``g``; the shifted
+    Cholesky runs on its trailing block from index ``first``, and
+    succeeds only if that block's smallest eigenvalue is at least tau^2.
+    ``big`` is the L of the matrix ``g`` came from.  Shifts ``g`` in place.
+    """
+    c = g.shape[-1]
+    k = c - first
     t = 1.01 * np.diagonal(g, 0, -2, -1).sum(axis=-1).max()
     if not np.isfinite(t):
         return False
     gamma = big * _U / (1 - big * _U)
-    norm = np.abs(g).sum(axis=-1).max() + k * gamma * t
+    norm = np.abs(g).sum(axis=-1).max() + c * gamma * t
     tau = 2 * 1.01 * REL_RANK_TOL * n_blocks * big * math.sqrt(norm)
-    diag = np.arange(k)
+    diag = np.arange(first, c)
     g[..., diag, diag] -= 1.01 * tau ** 2 + 2 * (big + k + 2) * _U * t
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(g[..., first:, first:])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -347,26 +371,32 @@ def aligned_within(sides) -> tuple[bool, bool]:
     wide matrix is ranked at most once, for all of its moved matrices.  In
     exact modes a literal column match is itself a proof of span
     containment, so a moved matrix whose columns all match is not ranked
-    at all; in float mode the match is within a tolerance and is no such
-    proof.  The joined [moved, wide] matrix is rank-deficient whenever the
-    alignment holds, so in float mode it is ranked by the SVD alone
-    (``_counted``), without a full-rank certificate that could only fail.
+    at all.  In float mode the match is within a tolerance and is no such
+    proof, but when it pairs every moved column with a wide column and the
+    wide matrix has full column rank, ``_certified_span`` may prove that
+    the joined [moved, wide] matrix gets the wide matrix's rank.
+    Otherwise the joined matrix, rank-deficient whenever the alignment
+    holds, is ranked by the SVD alone (``_counted``).
     """
     span_ok = subset_ok = True
     for wide, moved_list in sides:
+        exact = is_exact(wide)
         wide_rank = None
         for moved in moved_list:
             if moved.shape[0] != wide.shape[0]:
                 raise DimensionMismatch(f"{moved.shape} vs {wide.shape}")
-            exact = is_exact(wide)
-            match = ((subset_ok or (exact and span_ok))
-                     and columns_subset_of(moved, wide))
-            subset_ok = subset_ok and match
-            if span_ok and moved.shape[1] and not (exact and match):
+            col_map = (_column_map(moved, wide)
+                       if subset_ok or (exact and span_ok) else None)
+            subset_ok = subset_ok and col_map is not None
+            if span_ok and moved.shape[1] and not (exact and
+                                                   col_map is not None):
                 if wide_rank is None:
                     wide_rank = rank(wide)
-                joined = _counted(np.hstack([moved, wide]))
-                span_ok = rank(joined) == wide_rank
+                joined = np.hstack([moved, wide])
+                span_ok = ((col_map is not None
+                            and wide_rank == wide.shape[1]
+                            and _certified_span(joined, col_map))
+                           or rank(_counted(joined)) == wide_rank)
     return span_ok, subset_ok
 
 
@@ -379,14 +409,79 @@ def columns_subset_of(a: np.ndarray, b: np.ndarray) -> bool:
     """
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+    return _column_map(a, b) is not None
+
+
+def _column_map(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """For each column of ``a``, the index of a column of ``b`` equal to
+    it (``columns_subset_of``'s sense); None if some column has none.
+
+    Exact columns are looked up in a dict.  Float columns a_j and b_k
+    match when max|a_j - b_k| <= bound_k = COL_MATCH_TOL * max(1,
+    max|b_k|), and the first such k is returned.  Columns that match have
+    maxima within bound_k of each other, also as computed:
+    |max|a_j| - max|b_k|| <= |a_rj - b_rk| for a row r that holds one of
+    the maxima, and rounding is monotone, so fl of the left side is at
+    most fl of the right.  So only the pairs whose maxima differ by more
+    than bound_k are dropped, and the rest are compared in full; a nan
+    difference of maxima (from inf - inf, or a nan entry) drops nothing.
+    """
     if is_exact(a):
-        cols = set(map(tuple, b.T.tolist()))
-        return all(col in cols for col in map(tuple, a.T.tolist()))
-    bound = COL_MATCH_TOL * np.maximum(
-        1.0, np.max(np.abs(b), axis=0, initial=0.0))
-    return all(np.any(np.max(np.abs(b - col[:, None]), axis=0, initial=0.0)
-                      <= bound)
-               for col in a.T)
+        index = {col: k for k, col in enumerate(map(tuple, b.T.tolist()))}
+        cols = [index.get(col) for col in map(tuple, a.T.tolist())]
+        return None if None in cols else np.array(cols, dtype=np.intp)
+    b_max = np.abs(b).max(0, initial=0.0)
+    bound = COL_MATCH_TOL * np.maximum(1.0, b_max)
+    ok = ~(np.abs(np.abs(a).max(0, initial=0.0)[:, None] - b_max) > bound)
+    j, k = np.nonzero(ok)
+    ok[j, k] = np.abs(a[:, j] - b[:, k]).max(0, initial=0.0) <= bound[k]
+    if not ok.any(1).all():
+        return None
+    return ok.argmax(1) if ok.size else np.zeros(0, dtype=np.intp)
+
+
+def _certified_span(joined: np.ndarray, col_map: np.ndarray) -> bool:
+    """True only if ``rank``'s SVD would count exactly k singular values of
+    the equilibrated E = [E_M, E_W] of ``joined`` = [moved, wide].
+
+    k is the wide part's column count, m the moved part's, and
+    ``col_map`` pairs moved column j with wide column col_map[j].
+    Notation and steps as in ``_certified_full``, with n_blocks = 1 and
+    r, c, L the shape of ``joined``.  False means "not proved": the caller
+    then runs the SVD.  Tried only from ``_CERTIFY_FROM`` up.
+
+    1. Count <= k.  Equilibration divides every nonzero column by its
+       maximum, so a moved column and the wide column it matches become
+       equal up to rounding; take R = E_M - E_W[:, col_map].  The matrix
+       [E_W[:, col_map], E_W] has rank <= k, so by Weyl's inequality
+       s_{k+1}(E) <= ||R||_2 <= ||R||_F, whatever the map.  R is rounded
+       once per entry and its squared norm summed by a dot product, so
+       1.01 * sqrt(fl(sum R^2)) bounds ||R||_F (underflow adds below
+       1e-150).  The test requires this to be at most
+       REL_RANK_TOL * L / 4.  The SVD's s_{k+1} then exceeds the exact one
+       by at most p u s_max <= (REL_RANK_TOL * L / 4) s_max (step 4), so
+       it is at most (REL_RANK_TOL * L / 2) s_max, as s_max >= 1 (E has
+       an entry of 1).  Its cutoff is at least
+       REL_RANK_TOL * L * s_max (1 - p u)(1 - u)^2, which is larger for
+       any L below 1e9.
+    2. Count >= k.  ``_gram_clears`` on G = E^T E with its trailing k x k
+       block G_W = E_W^T E_W: N bounds s_max(E)^2, so tau is at least
+       twice any cutoff the SVD of E can compute, and the shifted
+       Cholesky of G_W proves s_k(E_W) >= tau (step 3; T bounds tr G_W
+       too).  E_W is a column subset of E, so by interlacing
+       s_k(E) >= s_k(E_W) >= tau, and step 4 with the SVD gate on E's
+       shape makes the SVD count all of the top k.
+    """
+    rows, cols = joined.shape
+    if (rows * cols * min(rows, cols) + 1024 < _CERTIFY_FROM
+            or not _svd_gate(rows, cols)):
+        return False
+    big, m = max(rows, cols), col_map.size
+    e = _equilibrated(joined)
+    r = e[:, :m] - e[:, m + col_map]
+    if not 1.01 * math.sqrt(np.vdot(r, r)) <= REL_RANK_TOL * big / 4:
+        return False
+    return _gram_clears(e.T @ e, m, big, 1)
 
 
 def _integer_rows(m: np.ndarray) -> list[list[int]]:

@@ -8,7 +8,9 @@ its beamformers are built from columns of two structured matrices,
 powers of the diagonal T matrices at BS i, taken in (l, j) order, applied
 to the all-ones vector and indexed by an exponent tuple; nesting of the
 exponent ranges is what makes the alignment constraints hold by
-construction.
+construction.  ``build_p`` evaluates each T diagonal's powers once, as a
+power table, and gathers the columns from it.  Every narrow tuple is a
+wide tuple too, so ``narrow[o]`` is a column gather of ``wide[o]``.
 """
 
 from __future__ import annotations
@@ -178,17 +180,28 @@ def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
     t_diags is the ordered list of T diagonals, one per (l, j) pair,
     matching the alpha ordering of the tuples.  With diagonal T the
     monomials are evaluated entrywise, in the array type of the diagonals.
+    Each diagonal is raised once to each exponent from the smallest to the
+    largest it takes (its power table; for wide tuples these are exactly
+    the exponents taken, since consecutive blocks' ranges abut), and the
+    columns gathered from the tables are multiplied in (l, j) order, the
+    order ``np.prod`` over the pairs would take, so every entry is the
+    same product of the same powers.
     """
     gamma = len(t_diags)
     if any(len(tup.alphas) != gamma for tup in tuples):
         raise InconsistentPlan("exponent tuple arity != number of T pairs")
+    if not gamma:
+        return np.ones((mu_n, len(tuples)))
     # int64 even with no tuples: ModP powers take only integer exponents
     alphas = np.array([tup.alphas for tup in tuples],
                       dtype=np.int64).reshape(len(tuples), gamma)
-    # (mu_n, gamma), a transposed view: its power runs faster than a
-    # stack along the last axis; gamma = 0 gives columns of ones
-    x = np.stack(t_diags).T if gamma else np.ones((mu_n, 0))
-    return np.prod(x[:, None, :] ** alphas, axis=-1)
+    out = None
+    for t, col in zip(t_diags, alphas.T):
+        lo = col.min() if col.size else 0
+        table = t[:, None] ** np.arange(lo, col.max(initial=lo) + 1)
+        factor = table[:, col - lo]
+        out = factor if out is None else out * factor
+    return out
 
 
 def _random_full_rank(rng, mu_n, ncols, mode, what):
@@ -242,10 +255,12 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     for o in (1, 2):
         i, s, b, gamma = pl.side(o)
         if s:
-            for form, out in (("wide", ps.wide), ("narrow", ps.narrow)):
-                out[o] = build_p(t_set[i],
-                                 exponent_tuples(b, pl.n, gamma, form),
-                                 pl.mu_n)
+            wide = exponent_tuples(b, pl.n, gamma, "wide")
+            ps.wide[o] = build_p(t_set[i], wide, pl.mu_n)
+            column = {tup: k for k, tup in enumerate(wide)}
+            ps.narrow[o] = ps.wide[o][:, [column[tup] for tup in
+                                          exponent_tuples(b, pl.n, gamma,
+                                                          "narrow")]]
         for j in range(1, pl.cfg.lb + 1):
             mid = f"b{o}_{j}"
             bar = bars[mid]

@@ -282,8 +282,11 @@ def random_valid_exponents(m, k, rng):
 
     Each row's m tuples are a random sample (without replacement) from
     {0..hi}^k with hi chosen so the pool comfortably exceeds m even at
-    k = 1.
+    k = 1.  k < 1 is an error: the pool would hold one tuple.
     """
+    if k < 1:
+        raise SigmaAlignError(f"random exponents need k >= 1, got m = {m},"
+                              f" k = {k}")
     hi = max(4, m + 1)
     a = np.empty((m, m, k), dtype=int)
     for i in range(m):

@@ -556,9 +556,10 @@ def test_rank_matches_the_svd_count(m):
 
 
 def test_big_n2_float_counts_only_the_alignment_matrices(monkeypatch):
-    # 13 ranks: the 2 channel stacks, 3 pairwise matrices, 2 Lambdas and the
-    # 2 wide structured matrices are certified full by Cholesky; the 4
-    # alignment hstacks, deficient by design, go straight to the SVD
+    # no SVD: the 2 channel stacks, 3 pairwise matrices, 2 Lambdas and the
+    # 2 wide structured matrices are certified full by Cholesky, and the 4
+    # alignment hstacks, deficient by design, get the wide rank from the
+    # column match and a Cholesky of their wide block (_certified_span)
     from sigma_align import verify
     from sigma_align.region import DofPoint, SigmaConfig
     calls = {"svd": [], "cholesky": []}
@@ -574,5 +575,122 @@ def test_big_n2_float_counts_only_the_alignment_matrices(monkeypatch):
     assert r.passed
     assert r.lambda1 == r.lambda2 == {"rows": 972, "cols": 160, "rank": 160,
                                       "full": True}
-    assert calls["svd"] == [(486, 52)] * 4
-    assert len(calls["cholesky"]) == 9
+    assert calls["svd"] == []
+    assert calls["cholesky"].count((36, 36)) == 6   # 2 wide, 4 span blocks
+    assert len(calls["cholesky"]) == 13
+
+
+def _columns_subset_of_loop(a, b):
+    """The float column match as one numpy pass per column of ``a``: the
+    oracle of ``_column_map``."""
+    bound = numerics.COL_MATCH_TOL * np.maximum(
+        1.0, np.max(np.abs(b), axis=0, initial=0.0))
+    return all(np.any(np.max(np.abs(b - col[:, None]), axis=0, initial=0.0)
+                      <= bound)
+               for col in a.T)
+
+
+@st.composite
+def column_pairs(draw):
+    """(a, b): float columns of scales 1e-12 to 1e12, where columns of a
+    are fresh or copies of columns of b moved by 0 to 1000 times the
+    match bound, b may repeat a column, and entries may be inf or nan;
+    empty shapes included."""
+    rows, na, nb = (draw(st.integers(0, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.normal(size=(rows, nb)) * 10.0 ** rng.uniform(-12, 12, size=nb)
+    if nb > 1 and draw(st.booleans()):
+        b[:, 1] = b[:, 0]
+    bound = numerics.COL_MATCH_TOL * np.maximum(
+        1.0, np.max(np.abs(b), axis=0, initial=0.0))
+    a = rng.normal(size=(rows, na)) * 10.0 ** rng.uniform(-12, 12, size=na)
+    for j in range(na):
+        if nb and draw(st.booleans()):
+            k = rng.integers(nb)
+            step = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0,
+                                         1e3]))
+            a[:, j] = b[:, k] + step * bound[k] * rng.choice([-1.0, 1.0],
+                                                             size=rows)
+    for m in (a, b):
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+            if m.size:
+                m[rng.integers(rows), rng.integers(m.shape[1])] = \
+                    draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return a, b
+
+
+@given(column_pairs())
+@settings(max_examples=600, deadline=None)
+def test_column_map_agrees_with_the_per_column_loop(case):
+    a, b = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        col_map = numerics._column_map(a, b)
+        assert (col_map is not None) == _columns_subset_of_loop(a, b)
+        assert columns_subset_of(a, b) == (col_map is not None)
+        if col_map is None:
+            return
+        assert col_map.shape == (a.shape[1],)
+        bound = numerics.COL_MATCH_TOL * np.maximum(
+            1.0, np.max(np.abs(b), axis=0, initial=0.0))
+        for j, k in enumerate(col_map):
+            hits = np.max(np.abs(b - a[:, j, None]), axis=0,
+                          initial=0.0) <= bound
+            assert hits[k] and not hits[:k].any()   # the first real match
+
+
+def test_column_map_keeps_a_match_across_infinities():
+    # max|a| = max|b| = inf, so the maxima differ by nan; the entries
+    # differ by inf against an infinite bound, which is a match
+    a = np.array([[np.inf], [0.0]])
+    b = np.array([[0.0], [np.inf]])
+    with np.errstate(invalid="ignore"):
+        assert _columns_subset_of_loop(a, b)
+        assert numerics._column_map(a, b).tolist() == [0]
+
+
+@st.composite
+def near_aligned(draw):
+    """(joined, col_map): [M, W] with W = U diag(s) V^T, s from 1 down to
+    1e-9 to 1, and M = W[:, col_map] plus a perturbation of norm 1e-3 to
+    1e3 times the nominal cutoff REL_RANK_TOL * max(rows, cols).  Columns
+    are then scaled by 1e-6 to 1 and, half the time, rows by up to 1e2
+    either way.  Most shapes reach ``_CERTIFY_FROM``."""
+    k, m = draw(st.integers(10, 24)), draw(st.integers(1, 10))
+    rows = draw(st.integers(k, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s_min = 10.0 ** rng.uniform(-9, 0)
+    s = np.sort(s_min ** rng.uniform(0, 1, size=k))[::-1]
+    s[0], s[-1] = 1.0, s_min
+    u = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    w = (u * s) @ v.T
+    col_map = rng.integers(0, k, size=m)
+    p = rng.normal(size=(rows, m))
+    p *= (10.0 ** rng.uniform(-3, 3) * numerics.REL_RANK_TOL
+          * max(rows, k + m) / np.linalg.norm(p))
+    joined = np.hstack([w[:, col_map] + p, w])
+    joined *= 10.0 ** rng.uniform(-6, 0, size=k + m)
+    if draw(st.booleans()):
+        joined *= 10.0 ** rng.uniform(-2, 2, size=(rows, 1))
+    return joined, col_map
+
+
+@given(near_aligned())
+@settings(max_examples=600, deadline=None)
+def test_span_certificate_claims_only_what_the_svd_counts(case):
+    joined, col_map = case
+    rows, cols = joined.shape
+    m = col_map.size
+    certified = numerics._certified_span(joined, col_map)
+    e = numerics._equilibrated(joined)
+    if certified:
+        assert _svd_count(e) == cols - m
+    # far inside both margins, measured on the equilibrated matrix: the
+    # residual below a tenth of the nominal cutoff (the test allows a
+    # quarter), and the wide block's s_min far above tau
+    residual = np.linalg.norm(e[:, :m] - e[:, m + col_map])
+    if (residual < 0.1 * numerics.REL_RANK_TOL * max(rows, cols)
+            and np.linalg.svd(e[:, m:], compute_uv=False).min() > 1e-3
+            and rows * cols * min(rows, cols) + 1024
+            >= numerics._CERTIFY_FROM):
+        assert certified

@@ -200,6 +200,35 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
         build_p(t_diags, [ExponentTuple(m=0, alphas=(1,) * (gamma + 1))], mu_n)
 
 
+def _bits(m):
+    """A matrix's type, shape and entries, exactly: bytes for float and
+    ModP, the Fractions themselves for rational."""
+    body = m.tolist() if m.dtype == object else m.tobytes()
+    return type(m), m.dtype, m.shape, body
+
+
+@pytest.mark.parametrize("mode, n", [("float", 2), ("modp", 2),
+                                     ("rational", 1)])
+def test_narrow_is_the_gather_of_wide(big_cfg, big_point, mode, n):
+    # narrow[o] is gathered from wide[o]; the gather must equal, bit for
+    # bit, the narrow tuples' monomials built on their own, and both the
+    # per-entry powers and np.prod over the pairs that build_p replaces
+    pl = plan(big_cfg, big_point, n)
+    dr = channel.draw(big_cfg, pl.mu_n, 31, mode)
+    t_set = compute_t_set(dr, pl)
+    ps = assemble(pl, big_point, dr, 31, t_set)
+    for o in (1, 2):
+        i, _, b, gamma = pl.side(o)
+        wide = exponent_tuples(b, n, gamma, "wide")
+        narrow = exponent_tuples(b, n, gamma, "narrow")
+        gathered = ps.wide[o][:, [wide.index(t) for t in narrow]]
+        alphas = np.array([t.alphas for t in narrow])
+        x = np.stack(t_set[i]).T
+        assert (_bits(ps.narrow[o]) == _bits(gathered)
+                == _bits(build_p(t_set[i], narrow, pl.mu_n))
+                == _bits(np.prod(x[:, None, :] ** alphas, axis=-1)))
+
+
 @pytest.mark.parametrize("mode", ["float", "rational", "modp"])
 def test_assemble_s1(s1_cfg, s1_point, mode):
     pl = plan(s1_cfg, s1_point, 1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sigma_align import channel, numerics, precoder
-from sigma_align.errors import InfeasiblePoint, InvalidGenerator
+from sigma_align.errors import (InfeasiblePoint, InvalidGenerator,
+                                 SigmaAlignError)
 from sigma_align.region import DofPoint, SigmaConfig
 from sigma_align.verify import (achieved_dof, build_lambda, check_alignment,
                                 check_lambda, check_pairwise,
@@ -247,6 +248,13 @@ def test_lemma1_modp_matches_rational():
     # happens once here: rows 1 and 3 of the m=3, k=1, seed=26 matrix are
     # both 2^3, 2^1, 2^2, so its determinant is exactly 0 at that point.
     assert disagree == [(3, 1, 26, "random_valid_exponents")]
+
+
+@pytest.mark.parametrize("m, k", [(2, 0), (5, 0), (1, 0), (3, -1)])
+def test_random_exponents_reject_k_below_one(m, k):
+    # with k = 0 every row draws from a pool of one tuple; m >= 2 looped
+    with pytest.raises(SigmaAlignError, match=f"m = {m}, k = {k}"):
+        random_valid_exponents(m, k, np.random.default_rng(0))
 
 
 def test_lemma1_invalid_generator_flagged():
