@@ -256,11 +256,10 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
         i, s, b, gamma = pl.side(o)
         if s:
             wide = exponent_tuples(b, pl.n, gamma, "wide")
+            narrow = exponent_tuples(b, pl.n, gamma, "narrow")
             ps.wide[o] = build_p(t_set[i], wide, pl.mu_n)
             column = {tup: k for k, tup in enumerate(wide)}
-            ps.narrow[o] = ps.wide[o][:, [column[tup] for tup in
-                                          exponent_tuples(b, pl.n, gamma,
-                                                          "narrow")]]
+            ps.narrow[o] = ps.wide[o][:, [column[tup] for tup in narrow]]
         for j in range(1, pl.cfg.lb + 1):
             mid = f"b{o}_{j}"
             bar = bars[mid]

@@ -650,11 +650,12 @@ def test_column_map_keeps_a_match_across_infinities():
 
 @st.composite
 def near_aligned(draw):
-    """(joined, col_map): [M, W] with W = U diag(s) V^T, s from 1 down to
-    1e-9 to 1, and M = W[:, col_map] plus a perturbation of norm 1e-3 to
-    1e3 times the nominal cutoff REL_RANK_TOL * max(rows, cols).  Columns
-    are then scaled by 1e-6 to 1 and, half the time, rows by up to 1e2
-    either way.  Most shapes reach ``_CERTIFY_FROM``."""
+    """(joined, col_map): [M, W] with W = U diag(s) V^T, s falling from 1
+    to an s_min of 1e-9 to 1, and M = W[:, col_map] plus a perturbation
+    of norm 1e-3 to 1e3 times the nominal cutoff
+    REL_RANK_TOL * max(rows, cols).  Columns are then scaled by 1e-6 to 1
+    and, half the time, rows by up to 1e2 either way.  Most shapes reach
+    ``_CERTIFY_FROM``."""
     k, m = draw(st.integers(10, 24)), draw(st.integers(1, 10))
     rows = draw(st.integers(k, 160))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
