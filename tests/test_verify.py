@@ -410,6 +410,10 @@ S1_P = (SigmaConfig(1, 1, 0, 2, 0),
         DofPoint.make(db1=["1/3", "1/3"], db2=["1/3", "1/3"]))
 BIG_P = (SigmaConfig(2, 2, 0, 3, 0),
          DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3))
+# two set members and two outside users per side: the only golden run whose
+# T list interleaves (l, j) pairs, so only it pins that order
+INTERLEAVED_P = (SigmaConfig(2, 2, 0, 4, 0),
+                 DofPoint.make(db1=["1/3"] * 4, db2=["1/3"] * 4))
 
 # (name, point, n, seed, mode); float only where float passes
 GOLDEN_RUNS = (
@@ -418,6 +422,8 @@ GOLDEN_RUNS = (
     + [("big", BIG_P, 1, 31, mode) for mode in ("float", "modp", "rational")]
     + [("big", BIG_P, 2, 31, mode) for mode in ("float", "modp")]
     + [("empty", EMPTY_P, 1, 3, "modp")]
+    + [("interleaved", INTERLEAVED_P, 1, 31, mode)
+       for mode in ("float", "modp")]
     + [("one_side", ONE_SIDE_P, n, 31, mode)
        for n in (1, 2) for mode in ("float", "modp")])
 GOLDEN_PATH = Path(__file__).parent / "data" / "reports.json"
