@@ -6,8 +6,8 @@ from .region import (SigmaConfig, DofPoint, Constraint, enumerate_constraints,
                      check_point, check_point_bruteforce, mu0, max_sum_dof)
 from .channel import ChannelDraw, draw, apply, stack, compute_t
 from .precoder import (AlignmentPlan, PrecoderSet, select_sets, plan,
-                       target_bar_dofs, exponent_tuples, build_p, assemble,
-                       compute_t_set, message_ids)
+                       target_bar_dofs, build_p, assemble, compute_t_set,
+                       message_ids)
 from .verify import (VerificationReport, check_alignment, check_pairwise,
                      build_lambda, check_lambda, achieved_dof, lemma1_test,
                      run_experiment, expected_ratio)

@@ -149,22 +149,26 @@ def stack(draw: ChannelDraw, i: int, s_set) -> np.ndarray:
     return np.stack([_series(draw, ("b", i, j)).T for j in s_set], axis=-1)
 
 
-def compute_t(draw: ChannelDraw, i: int, j: int, s_set) -> list[np.ndarray]:
-    """The N_i T diagonals relating user j's channel to the stack at BS i.
+def compute_t(draw: ChannelDraw, i: int, users, s_set) -> np.ndarray:
+    """The T diagonals relating each user in ``users`` to the stack at BS i.
 
-    T_k is the length-mu_n diagonal with
-    H_tilde(b, i, j) = sum_k H_tilde(b, i, s_k) @ diag(T_k); slot t solves
-    stack(i, s_set)[t] @ x = h_j[:, t] and sets T_k[t] = x[k].  A
-    singular stack (``numerics.solve_blocks``'s rule) raises SingularStack.
+    T_(l, j) is the length-mu_n diagonal with
+    H_tilde(b, i, j) = sum_l H_tilde(b, i, s_l) @ diag(T_(l, j)).  Slot t
+    solves stack(i, s_set)[t] @ X = [h_j[:, t] for j in users] once for
+    every user and sets T_(l, j)[t] = X[l, j].  Returns the
+    (N_i * len(users), mu_n) array of diagonals in (l, j) order, l outer.
+    A singular stack (``numerics.solve_blocks``'s rule) raises
+    SingularStack.
     """
-    s_set = tuple(s_set)
-    if j in s_set:
-        raise ValueError(f"user {j} is in the alignment set {s_set}")
+    s_set, users = tuple(s_set), tuple(users)
+    inside = sorted(set(users) & set(s_set))
+    if inside:
+        raise ValueError(f"users {inside} are in the alignment set {s_set}")
     blocks = stack(draw, i, s_set)
-    target = _series(draw, ("b", i, j)).T[:, :, None]
+    target = np.stack([_series(draw, ("b", i, j)).T for j in users], axis=-1)
     try:
         x = numerics.solve_blocks(blocks, target)
     except np.linalg.LinAlgError as e:
         raise SingularStack(
             f"stacked channel at BS {i}, set {s_set}, seed {draw.seed}") from e
-    return [x[:, k, 0] for k in range(len(s_set))]
+    return x.transpose(1, 2, 0).reshape(-1, draw.mu_n)

@@ -46,7 +46,8 @@ def load_config(path: str, args) -> dict:
     """Read the JSON config and resolve it against flags and environment.
 
     A field outside ``CONFIG_FIELDS`` is an error: a misspelt or removed
-    field would otherwise change the run without a word.
+    field would otherwise change the run without a word.  So is a
+    non-integer value of an integer field, which ``int`` would truncate.
     """
     try:
         with open(path) as f:
@@ -63,22 +64,25 @@ def load_config(path: str, args) -> dict:
                              f"{', '.join(map(repr, unknown))}; the fields "
                              f"are {', '.join(CONFIG_FIELDS)}")
         c = raw["cfg"]
-        cfg = SigmaConfig(int(c["n1"]), int(c["n2"]), int(c["la"]),
-                          int(c["lb"]), int(c["lc"]))
+        cfg = SigmaConfig(*(_json_int(f"cfg.{k}", c[k])
+                            for k in ("n1", "n2", "la", "lb", "lc")))
+        for key in ("n", "n_max", "seed", "trials"):
+            if key in raw:
+                _json_int(key, raw[key])
         dd = raw.get("d", {})
         d = DofPoint(
             tuple(_parse_fraction(x) for x in dd.get("da", [])),
             tuple(_parse_fraction(x) for x in dd.get("db1", [])),
             tuple(_parse_fraction(x) for x in dd.get("db2", [])),
             tuple(_parse_fraction(x) for x in dd.get("dc", [])))
-        n = int(_flag_or(args, "n", raw.get("n", 1)))
+        n = _flag_or(args, "n", raw.get("n", 1))
         rc = {
             "cfg": cfg,
             "d": d,
             "n": n,
-            "n_max": int(_flag_or(args, "n_max", raw.get("n_max", n))),
+            "n_max": _flag_or(args, "n_max", raw.get("n_max", n)),
             "seed": _resolve_seed(_flag_or(args, "seed", raw.get("seed"))),
-            "trials": int(_flag_or(args, "trials", raw.get("trials", 1))),
+            "trials": _flag_or(args, "trials", raw.get("trials", 1)),
             "mode": _flag_or(args, "mode", raw.get("mode")),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -93,6 +97,15 @@ def load_config(path: str, args) -> dict:
     if rc["mode"] is not None and rc["mode"] not in MODES:
         raise ParseError(f"unknown mode {rc['mode']!r}, not in {MODES}")
     return rc
+
+
+def _json_int(name, value) -> int:
+    """``value`` if it is a JSON integer; anything else would be truncated
+    or coerced by ``int`` into a run that was not asked for."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"config field {name!r} must be an integer, "
+                         f"got {value!r}")
+    return value
 
 
 def _flag_or(args, name, fallback):

@@ -344,19 +344,20 @@ def _equilibrated(m: np.ndarray) -> np.ndarray:
     nonzero row and column then has maximum exactly 1.0, and a further
     pass divides by 1.0, which changes no bit.  An inf or nan entry makes
     its row maximum non-finite; further passes spread the nan, so such
-    input gets all five.
+    input gets all five, and inf / inf turns nan without a warning.
     """
     out = np.array(m, dtype=float)
-    for _ in range(5):
-        rs = np.max(np.abs(out), axis=-1, keepdims=True)
-        finite = np.isfinite(rs).all()
-        rs[rs == 0.0] = 1.0
-        out /= rs
-        cs = np.max(np.abs(out), axis=-2, keepdims=True)
-        cs[cs == 0.0] = 1.0
-        out /= cs
-        if finite:
-            break
+    with np.errstate(invalid="ignore"):
+        for _ in range(5):
+            rs = np.max(np.abs(out), axis=-1, keepdims=True)
+            finite = np.isfinite(rs).all()
+            rs[rs == 0.0] = 1.0
+            out /= rs
+            cs = np.max(np.abs(out), axis=-2, keepdims=True)
+            cs[cs == 0.0] = 1.0
+            out /= cs
+            if finite:
+                break
     return out
 
 

@@ -5,17 +5,17 @@ b{o}_j meant for BS o, which interfere at the other BS, i = 3 - o
 (``AlignmentPlan.side``).  A side that aligns there has a set s_o, and
 its beamformers are built from columns of two structured matrices,
 ``wide[o]`` and ``narrow[o]``.  Every structured column is a product of
-powers of the diagonal T matrices at BS i, taken in (l, j) order, applied
-to the all-ones vector and indexed by an exponent tuple; nesting of the
-exponent ranges is what makes the alignment constraints hold by
-construction.  ``build_p`` evaluates each T diagonal's powers once, as a
-power table, and gathers the columns from it.  Every narrow tuple is a
-wide tuple too, so ``narrow[o]`` is a column gather of ``wide[o]``.
+powers of the diagonal T matrices at BS i, taken in (l, j) order and
+applied to the all-ones vector; nesting of the exponent ranges is what
+makes the alignment constraints hold by construction.  Each block of
+``wide[o]`` takes every exponent from its n+1 values, so it is the
+row-wise Kronecker product of one power table per T diagonal
+(``build_p``).  ``narrow[o]`` drops each exponent's top value, so it is a
+column subset of ``wide[o]``, picked by index arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +70,6 @@ class AlignmentPlan:
         s = self.s1 if o == 1 else self.s2
         delta = self.delta1 if o == 1 else self.delta2
         return tuple(j for j in s if j != delta) + ((delta,) if s else ())
-
-
-@dataclass(frozen=True)
-class ExponentTuple:
-    """One structured column: block index m plus one exponent per (l, j) pair."""
-
-    m: int
-    alphas: tuple[int, ...]
 
 
 @dataclass
@@ -152,56 +144,34 @@ def target_bar_dofs(pl: AlignmentPlan, d: DofPoint) -> dict[str, int]:
     return out
 
 
-def exponent_tuples(b: int, n: int, gamma: int, form: str) -> list[ExponentTuple]:
-    """All exponent tuples for b structured blocks over gamma (l, j) pairs.
+def build_p(t_diags: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Structured matrix of b blocks over the T diagonals, the rows of t_diags.
 
-    Per block m, each pair's exponent ranges over {mn+m+1, ..., (m+1)n+m+1}
-    (wide form, n+1 values) or the same range minus its last element
-    (narrow form, n values).  Consecutive blocks use disjoint ranges, so
-    distinct tuples always give distinct monomials.  Ordering is
-    lexicographic over (m, exponent vector).
+    Column (m, alpha) is prod over pairs k of diag(T_k)^alpha_k applied to
+    1, with every alpha_k in block m's range {m(n+1)+1, ..., (m+1)(n+1)}:
+    n+1 values per pair, abutting the next block's, so distinct columns are
+    distinct monomials.  With diagonal T the monomials are evaluated
+    entrywise, in the array type of the diagonals.  Each diagonal is raised
+    once to every exponent 1..b(n+1), its power table, split into b blocks
+    of n+1 columns; block m is the row-wise Kronecker product of the
+    tables' blocks m, multiplied in (l, j) order.  Columns run
+    lexicographically over (m, alpha), the first pair's exponent outermost.
     """
-    if form not in ("wide", "narrow"):
-        raise ValueError(f"unknown form {form!r}")
-    hi_extra = 1 if form == "wide" else 0
-    out = []
-    for m in range(b):
-        lo = m * n + m + 1
-        hi = (m + 1) * n + m + hi_extra   # inclusive
-        ranges = [range(lo, hi + 1)] * gamma
-        for alphas in itertools.product(*ranges):
-            out.append(ExponentTuple(m=m, alphas=alphas))
-    return out
+    mu_n = t_diags.shape[1]
+    tables = [(t[:, None] ** np.arange(1, b * (n + 1) + 1)).reshape(
+        mu_n, b, n + 1) for t in t_diags]
+    out = tables[0]
+    for table in tables[1:]:
+        out = (out[..., :, None] * table[..., None, :]).reshape(
+            mu_n, b, out.shape[-1] * (n + 1))
+    return out.reshape(mu_n, -1)
 
 
-def build_p(t_diags, tuples, mu_n: int) -> np.ndarray:
-    """Structured matrix: column k = prod over pairs diag(T)^alpha applied to 1.
-
-    t_diags is the ordered list of T diagonals, one per (l, j) pair,
-    matching the alpha ordering of the tuples.  With diagonal T the
-    monomials are evaluated entrywise, in the array type of the diagonals.
-    Each diagonal is raised once to each exponent from the smallest to the
-    largest it takes (its power table; for wide tuples these are exactly
-    the exponents taken, since consecutive blocks' ranges abut), and the
-    columns gathered from the tables are multiplied in (l, j) order, the
-    order ``np.prod`` over the pairs would take, so every entry is the
-    same product of the same powers.
-    """
-    gamma = len(t_diags)
-    if any(len(tup.alphas) != gamma for tup in tuples):
-        raise InconsistentPlan("exponent tuple arity != number of T pairs")
-    if not gamma:
-        return np.ones((mu_n, len(tuples)))
-    # int64 even with no tuples: ModP powers take only integer exponents
-    alphas = np.array([tup.alphas for tup in tuples],
-                      dtype=np.int64).reshape(len(tuples), gamma)
-    out = None
-    for t, col in zip(t_diags, alphas.T):
-        lo = col.min() if col.size else 0
-        table = t[:, None] ** np.arange(lo, col.max(initial=lo) + 1)
-        factor = table[:, col - lo]
-        out = factor if out is None else out * factor
-    return out
+def _narrow_columns(b: int, n: int, gamma: int) -> np.ndarray:
+    """Mask of the wide columns whose every exponent is below its block's
+    top value: the columns of the narrow matrix, in wide order."""
+    below_top = np.indices((n + 1,) * gamma).reshape(gamma, -1) < n
+    return np.tile(below_top.all(0), b)
 
 
 def _random_full_rank(rng, mu_n, ncols, mode, what):
@@ -215,25 +185,24 @@ def _random_full_rank(rng, mu_n, ncols, mode, what):
 
 
 def compute_t_set(draw: channel_mod.ChannelDraw,
-                  pl: AlignmentPlan) -> dict[int, list[np.ndarray]]:
-    """T diagonals at each BS that aligns, keyed by BS, in (l, j) order.
+                  pl: AlignmentPlan) -> dict[int, np.ndarray]:
+    """T diagonals at each BS that aligns, keyed by BS, one row per pair.
 
-    At BS i = 3 - o, T_l for each shared user j outside s_o relates
-    user j's channel to the stack of beta(o); the list runs over pairs
-    (l, j) with l outer.
+    At BS i = 3 - o, T_(l, j) relates shared user j outside s_o to the
+    l-th member of the stack of beta(o).  ``channel.compute_t`` solves for
+    every such j at once; rows run over pairs (l, j) with l outer.
     """
     t_set = {}
     for o in (1, 2):
         i, s, _, _ = pl.side(o)
         if s:
-            per_user = [channel_mod.compute_t(draw, i, j, pl.beta(o))
-                        for j in range(1, pl.cfg.lb + 1) if j not in s]
-            t_set[i] = [t for per_l in zip(*per_user) for t in per_l]
+            outside = [j for j in range(1, pl.cfg.lb + 1) if j not in s]
+            t_set[i] = channel_mod.compute_t(draw, i, outside, pl.beta(o))
     return t_set
 
 
 def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
-             seed: int, t_set: dict[int, list[np.ndarray]]) -> PrecoderSet:
+             seed: int, t_set: dict[int, np.ndarray]) -> PrecoderSet:
     """Build the structured matrices and every message's beamformer.
 
     Set members get [structured block | random tail]; out-of-set shared
@@ -255,11 +224,8 @@ def assemble(pl: AlignmentPlan, d: DofPoint, draw: channel_mod.ChannelDraw,
     for o in (1, 2):
         i, s, b, gamma = pl.side(o)
         if s:
-            wide = exponent_tuples(b, pl.n, gamma, "wide")
-            narrow = exponent_tuples(b, pl.n, gamma, "narrow")
-            ps.wide[o] = build_p(t_set[i], wide, pl.mu_n)
-            column = {tup: k for k, tup in enumerate(wide)}
-            ps.narrow[o] = ps.wide[o][:, [column[tup] for tup in narrow]]
+            ps.wide[o] = build_p(t_set[i], b, pl.n)
+            ps.narrow[o] = ps.wide[o][:, _narrow_columns(b, pl.n, gamma)]
         for j in range(1, pl.cfg.lb + 1):
             mid = f"b{o}_{j}"
             bar = bars[mid]

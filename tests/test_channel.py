@@ -170,23 +170,23 @@ def test_stack_identical_members_singular(big_cfg, mode):
     assert blocks.shape == (6, 2, 2)
     assert np.array_equal(blocks[:, :, 0], blocks[:, :, 1])
     with pytest.raises(SingularStack, match=r"BS 1, set \(1, 2\), seed 4"):
-        compute_t(d, 1, 3, (1, 2))
+        compute_t(d, 1, (3,), (1, 2))
     # user 2 has user 1's channel: T = (1, 0) against the stack of (1, 3)
-    t1, t3 = compute_t(d, 1, 2, (1, 3))
+    t1, t3 = compute_t(d, 1, (2,), (1, 3))
     assert np.allclose(np.asarray(t1, float), 1, rtol=0, atol=1e-12)
     assert np.allclose(np.asarray(t3, float), 0, rtol=0, atol=1e-12)
 
 
 def test_compute_t_scalar_ratio(s1_cfg):
     d = draw(s1_cfg, 1, seed=4)
-    [t] = compute_t(d, 1, 2, (1,))
+    [t] = compute_t(d, 1, (2,), (1,))
     assert t.shape == (1,)
     assert np.isclose(t[0], d.h_b1[1, 0, 0] / d.h_b1[0, 0, 0])
 
 
 def test_compute_t_exact_ratios(s1_cfg):
     d = draw(s1_cfg, 12, seed=4, mode="rational")
-    [diag] = compute_t(d, 1, 2, (1,))
+    [diag] = compute_t(d, 1, (2,), (1,))
     for slot in range(12):
         assert diag[slot] == d.h_b1[1, 0, slot] / d.h_b1[0, 0, slot]
 
@@ -196,7 +196,7 @@ def test_compute_t_diagonal_and_reconstructs(mode):
     # H_tilde_j = sum_k H_tilde_{s_k} diag(T_k), each T_k a diagonal
     cfg = SigmaConfig(2, 2, 0, 3, 0)
     d = draw(cfg, 8, seed=9, mode=mode)
-    diags = compute_t(d, 1, 3, (1, 2))
+    diags = compute_t(d, 1, (3,), (1, 2))
     assert len(diags) == 2
     assert all(t.shape == (8,) for t in diags)
     recon = sum(apply(d, ("b", 1, s), np.diag(t))
@@ -212,5 +212,30 @@ def test_compute_t_diagonal_and_reconstructs(mode):
 
 def test_compute_t_rejects_set_member(s1_cfg):
     d = draw(s1_cfg, 4, seed=0)
-    with pytest.raises(ValueError):
-        compute_t(d, 1, 1, (1,))
+    for users in ((1,), (2, 1)):
+        with pytest.raises(ValueError, match=r"users \[1\] are in"):
+            compute_t(d, 1, users, (1,))
+
+
+def _bits(m):
+    body = m.tolist() if m.dtype == object else m.tobytes()
+    return type(m), m.dtype, m.shape, body
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
+def test_compute_t_batches_the_per_user_solves(mode):
+    # N_i = 2 set members and U = 2 outside users: one solve with two
+    # right-hand-side columns gives, bit for bit, the solves user by user,
+    # and row l * U + u holds T_(l, j) for the u-th user j
+    cfg = SigmaConfig(2, 2, 0, 4, 0)
+    d = draw(cfg, 9, seed=5, mode=mode)
+    for i, s_set, users in ((1, (1, 2), (3, 4)), (2, (4, 1), (3, 2))):
+        batched = compute_t(d, i, users, s_set)
+        assert batched.shape == (4, 9)
+        assert type(batched) is type(d.h_b1)
+        blocks = stack(d, i, s_set)
+        for u, j in enumerate(users):
+            target = (d.h_b1 if i == 1 else d.h_b2)[j - 1].T[:, :, None]
+            x = numerics.solve_blocks(blocks, target)
+            for col in range(2):
+                assert _bits(batched[col * 2 + u]) == _bits(x[:, col, 0])

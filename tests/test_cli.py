@@ -95,16 +95,30 @@ def test_ia_run_rational_slot_cap_is_an_error(tmp_path):
     ({}, ["--tol-rank", "1e-18"]),
     ({"subset_cap": 1}, []),
     ({"mdoe": "rational"}, []),
+    ({"cfg": {**S1_CONFIG["cfg"], "n2": 1.9}}, []),
+    ({"n": 1.7}, []),
+    ({"n_max": 2.0}, []),
+    ({"seed": 7.9}, []),
+    ({"trials": True}, []),
+    ({"seed": "7"}, []),
 ], ids=["mode-exact", "n-two", "n-zero", "trials-zero", "flag-trials-zero",
         "flag-mode-exact", "flag-unknown", "flag-removed-tol-rank",
-        "removed-subset-cap", "misspelt-mode"])
+        "removed-subset-cap", "misspelt-mode", "cfg-n2-float", "n-float",
+        "n-max-float", "seed-float", "trials-bool", "seed-string"])
 def test_bad_config_is_an_error_line(tmp_path, fields, flags):
+    # int() would run 1.9 antennas as 1, seed 7.9 as 7 and trials true as 1
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**S1_CONFIG, "trials": 1, **fields}))
     proc = run_cli_process(["ia", "run", "--config", str(p), *flags])
     assert_error_line(proc)
     for name in set(fields) - set(cli.CONFIG_FIELDS):   # named in the error
         assert repr(name) in proc.stderr
+    ints = {f"cfg.{k}": v for k, v in fields.get("cfg", {}).items()}
+    ints.update((k, fields[k]) for k in ("n", "n_max", "seed", "trials")
+                if k in fields)
+    for name, value in ints.items():
+        if type(value) is not int:
+            assert f"config field {name!r} must be an integer" in proc.stderr
 
 
 def test_help_exits_0():

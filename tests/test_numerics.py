@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -411,13 +412,14 @@ def test_rank_of_blocks_uses_the_full_matrix_cutoff():
 def _equilibrated_5_passes(m):
     """The five-pass max-norm scaling that ``_equilibrated`` shortcuts."""
     out = np.array(m, dtype=float)
-    for _ in range(5):
-        rs = np.max(np.abs(out), axis=-1, keepdims=True)
-        rs[rs == 0.0] = 1.0
-        out /= rs
-        cs = np.max(np.abs(out), axis=-2, keepdims=True)
-        cs[cs == 0.0] = 1.0
-        out /= cs
+    with np.errstate(invalid="ignore"):   # inf / inf is nan, as intended
+        for _ in range(5):
+            rs = np.max(np.abs(out), axis=-1, keepdims=True)
+            rs[rs == 0.0] = 1.0
+            out /= rs
+            cs = np.max(np.abs(out), axis=-2, keepdims=True)
+            cs[cs == 0.0] = 1.0
+            out /= cs
     return out
 
 
@@ -553,6 +555,19 @@ def rank_inputs(draw):
 def test_rank_matches_the_svd_count(m):
     want = _outcome(lambda a: _svd_count(numerics._equilibrated(a)), m)
     assert _outcome(rank, m) == want
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (60, 40), (3, 60, 40)])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_rank_of_a_non_finite_matrix_warns_nothing(shape, entry):
+    # equilibration turns the entry's rows nan (inf / inf on the way), so
+    # the SVD does not converge, below and above the certificate's size;
+    # the nan is intended and raises no RuntimeWarning
+    m = np.random.default_rng(0).uniform(-1.0, 1.0, size=shape)
+    m[(0,) * len(shape)] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(rank, m) is np.linalg.LinAlgError
 
 
 def test_big_n2_float_counts_only_the_alignment_matrices(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_align import channel, numerics
-from sigma_align.errors import InconsistentPlan, InfeasiblePoint
-from sigma_align.precoder import (ExponentTuple, assemble, build_p,
-                                  compute_t_set, exponent_tuples, plan,
-                                  select_sets, target_bar_dofs)
+from sigma_align.errors import InfeasiblePoint
+from sigma_align.precoder import (_narrow_columns, assemble, build_p,
+                                  compute_t_set, plan, select_sets,
+                                  target_bar_dofs)
 from sigma_align.region import DofPoint, SigmaConfig
 
 
@@ -87,37 +88,73 @@ def test_target_ratio_tends_to_one(s1_cfg, s1_point):
         prev = ratio
 
 
+def _tuples(b, n, gamma, form):
+    """The (m, alphas) exponent tuples of the wide or narrow columns, in
+    order: block m's exponents run over {m(n+1)+1, ..., (m+1)(n+1)}, minus
+    the top value in narrow form, lexicographically over (m, alphas)."""
+    top = n + 1 if form == "wide" else n
+    return [(m, alphas) for m in range(b) for alphas in itertools.product(
+        range(m * (n + 1) + 1, m * (n + 1) + top + 1), repeat=gamma)]
+
+
+PRIMES = (2, 3, 5)
+
+
+def _column_exponents(p, gamma):
+    """Each column's exponent vector, read off by factoring: build_p over
+    the constant diagonals 2, 3, 5 (Python ints) puts prod PRIMES^alpha in
+    every entry."""
+    out = []
+    for value in p[0]:
+        alphas = []
+        for q in PRIMES[:gamma]:
+            k = 0
+            while value % q == 0:
+                value, k = value // q, k + 1
+            alphas.append(k)
+        assert value == 1
+        out.append(tuple(alphas))
+    return out
+
+
+def _prime_diags(gamma, mu_n=2):
+    return np.array([[q] * mu_n for q in PRIMES[:gamma]], dtype=object)
+
+
 def test_exponent_tuples_wide_narrow():
-    wide = exponent_tuples(1, 1, 1, "wide")
-    assert [(t.m, t.alphas) for t in wide] == [(0, (1,)), (0, (2,))]
-    narrow = exponent_tuples(1, 1, 1, "narrow")
-    assert [(t.m, t.alphas) for t in narrow] == [(0, (1,))]
-
-
-def test_exponent_tuples_empty_product():
-    tuples = exponent_tuples(3, 2, 0, "wide")
-    assert len(tuples) == 3
-    assert all(t.alphas == () for t in tuples)
+    p = build_p(_prime_diags(1), 1, 1)
+    assert p.tolist() == [[2, 4], [2, 4]]
+    assert _narrow_columns(1, 1, 1).tolist() == [True, False]
 
 
 def test_exponent_tuples_counts_and_disjoint_blocks():
     b, n, gamma = 3, 2, 2
-    wide = exponent_tuples(b, n, gamma, "wide")
-    narrow = exponent_tuples(b, n, gamma, "narrow")
+    wide = _column_exponents(build_p(_prime_diags(gamma), b, n), gamma)
+    narrow = [a for a, keep in zip(wide, _narrow_columns(b, n, gamma))
+              if keep]
     assert len(wide) == b * (n + 1) ** gamma
     assert len(narrow) == b * n ** gamma
-    assert len({(t.m, t.alphas) for t in wide}) == len(wide)
-    by_block = {}
-    for t in wide:
-        by_block.setdefault(t.m, set()).update(t.alphas)
+    assert len(set(wide)) == len(wide)
+    # lexicographic over (m, alphas), the first pair's exponent outermost
+    assert wide == [a for _, a in _tuples(b, n, gamma, "wide")]
+    assert narrow == [a for _, a in _tuples(b, n, gamma, "narrow")]
+    per_block = len(wide) // b
+    blocks = [set(itertools.chain(*wide[m * per_block:(m + 1) * per_block]))
+              for m in range(b)]
     for m in range(b - 1):
-        assert max(by_block[m]) < min(by_block[m + 1])
+        assert max(blocks[m]) < min(blocks[m + 1])
 
 
-def test_build_p_identity_column():
-    tuples = exponent_tuples(1, 1, 0, "wide")
-    p = build_p([], tuples, 4)
-    assert np.allclose(p, np.ones((4, 1)))
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_narrow_index_is_the_tuple_filter(b, n, gamma):
+    # narrow keeps the wide columns whose every exponent is below the top
+    # of its block's range, in wide order
+    wide, narrow = (_tuples(b, n, gamma, form) for form in ("wide", "narrow"))
+    keep = [all(a < (m + 1) * (n + 1) for a in alphas) for m, alphas in wide]
+    mask = _narrow_columns(b, n, gamma)
+    assert mask.dtype == bool and mask.tolist() == keep
+    assert (np.flatnonzero(mask).tolist()
+            == [wide.index(tup) for tup in narrow])
 
 
 def test_build_p_monomial_columns(s1_cfg, s1_point):
@@ -125,8 +162,7 @@ def test_build_p_monomial_columns(s1_cfg, s1_point):
     dr = channel.draw(s1_cfg, pl.mu_n, 21, "rational")
     t_set = compute_t_set(dr, pl)
     [diag] = t_set[1]
-    tuples = exponent_tuples(pl.b2, pl.n, pl.gamma1, "wide")
-    p21 = build_p([diag], tuples, pl.mu_n)
+    p21 = build_p(t_set[1], pl.b2, pl.n)
     assert p21.shape == (12, 2)
     for r in range(12):
         assert p21[r, 0] == diag[r]
@@ -146,10 +182,10 @@ def _reference_build_p(t_diags, tuples, mu_n, one):
     """
     out = np.full((mu_n, len(tuples)), one * 0,
                   dtype=float if isinstance(one, float) else object)
-    for k, tup in enumerate(tuples):
+    for k, (_, alphas) in enumerate(tuples):
         for r in range(mu_n):
             val = one
-            for diag, alpha in zip(t_diags, tup.alphas):
+            for diag, alpha in zip(t_diags, alphas):
                 val = val * diag[r] ** alpha
             out[r, k] = val
     return out
@@ -162,23 +198,24 @@ def _reference_build_p(t_diags, tuples, mu_n, one):
 def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
     rng = np.random.default_rng(seed)
     if mode == "rational":
-        t_diags = [np.array([Fraction(int(k), 64) for k in
-                             rng.integers(-128, 129, size=mu_n)], dtype=object)
-                   for _ in range(gamma)]
+        t_diags = np.array([[Fraction(int(k), 64) for k in row] for row in
+                            rng.integers(-128, 129, size=(gamma, mu_n))],
+                           dtype=object)
         one = Fraction(1)
     elif mode == "modp":
-        t_diags = [numerics.zp_array(rng.integers(0, numerics.P, size=mu_n))
-                   for _ in range(gamma)]
+        t_diags = numerics.zp_array(rng.integers(0, numerics.P,
+                                                 size=(gamma, mu_n)))
         one = 1   # the reference multiplies Python ints, reduced at the end
     else:
-        t_diags = list(rng.uniform(-4.0, 4.0, size=(gamma, mu_n)))
+        t_diags = rng.uniform(-4.0, 4.0, size=(gamma, mu_n))
         one = 1.0
+    wide = build_p(t_diags, b, n)
     for form in ("wide", "narrow"):
-        tuples = exponent_tuples(b, n, gamma, form)
-        p = build_p(t_diags, tuples, mu_n)
+        tuples = _tuples(b, n, gamma, form)
+        p = wide if form == "wide" else wide[:, _narrow_columns(b, n, gamma)]
         if mode == "modp":
-            ref = _reference_build_p([np.array(t.tolist(), dtype=object)
-                                      for t in t_diags], tuples, mu_n, one)
+            ref = _reference_build_p(np.array(t_diags.tolist(), dtype=object),
+                                     tuples, mu_n, one)
             ref %= numerics.P
         else:
             ref = _reference_build_p(t_diags, tuples, mu_n, one)
@@ -196,8 +233,6 @@ def test_build_p_matches_per_entry_reference(mode, gamma, b, n, mu_n, seed):
             # random gamma = 3 entries the two differed by up to 7 ulp.
             assert p.dtype == np.float64
             np.testing.assert_array_max_ulp(p, ref, maxulp=4 * gamma)
-    with pytest.raises(InconsistentPlan):
-        build_p(t_diags, [ExponentTuple(m=0, alphas=(1,) * (gamma + 1))], mu_n)
 
 
 def _bits(m):
@@ -210,23 +245,25 @@ def _bits(m):
 @pytest.mark.parametrize("mode, n", [("float", 2), ("modp", 2),
                                      ("rational", 1)])
 def test_narrow_is_the_gather_of_wide(big_cfg, big_point, mode, n):
-    # narrow[o] is gathered from wide[o]; the gather must equal, bit for
-    # bit, the narrow tuples' monomials built on their own, and both the
-    # per-entry powers and np.prod over the pairs that build_p replaces
+    # narrow[o] is a column subset of wide[o]; it must equal, bit for bit,
+    # the gather of the narrow tuples' columns, and both must equal each
+    # wide and narrow monomial evaluated on its own as np.prod over the
+    # pairs of per-entry powers
     pl = plan(big_cfg, big_point, n)
     dr = channel.draw(big_cfg, pl.mu_n, 31, mode)
     t_set = compute_t_set(dr, pl)
     ps = assemble(pl, big_point, dr, 31, t_set)
     for o in (1, 2):
         i, _, b, gamma = pl.side(o)
-        wide = exponent_tuples(b, n, gamma, "wide")
-        narrow = exponent_tuples(b, n, gamma, "narrow")
+        wide, narrow = (_tuples(b, n, gamma, form)
+                        for form in ("wide", "narrow"))
         gathered = ps.wide[o][:, [wide.index(t) for t in narrow]]
-        alphas = np.array([t.alphas for t in narrow])
-        x = np.stack(t_set[i]).T
-        assert (_bits(ps.narrow[o]) == _bits(gathered)
-                == _bits(build_p(t_set[i], narrow, pl.mu_n))
-                == _bits(np.prod(x[:, None, :] ** alphas, axis=-1)))
+        x = t_set[i].T
+        for p, tuples in ((ps.wide[o], wide), (ps.narrow[o], narrow)):
+            alphas = np.array([a for _, a in tuples])
+            assert (_bits(p)
+                    == _bits(np.prod(x[:, None, :] ** alphas, axis=-1)))
+        assert _bits(ps.narrow[o]) == _bits(gathered)
 
 
 @pytest.mark.parametrize("mode", ["float", "rational", "modp"])
