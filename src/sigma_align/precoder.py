@@ -156,6 +156,8 @@ def build_p(t_diags: np.ndarray, b: int, n: int) -> np.ndarray:
     of n+1 columns; block m is the row-wise Kronecker product of the
     tables' blocks m, multiplied in (l, j) order.  Columns run
     lexicographically over (m, alpha), the first pair's exponent outermost.
+    The matrix is returned column-major, the layout on which the alignment
+    check's column matching and stacking run fastest.
     """
     mu_n = t_diags.shape[1]
     tables = [(t[:, None] ** np.arange(1, b * (n + 1) + 1)).reshape(
@@ -164,7 +166,7 @@ def build_p(t_diags: np.ndarray, b: int, n: int) -> np.ndarray:
     for table in tables[1:]:
         out = (out[..., :, None] * table[..., None, :]).reshape(
             mu_n, b, out.shape[-1] * (n + 1))
-    return out.reshape(mu_n, -1)
+    return out.reshape(mu_n, -1).copy(order="F")
 
 
 def _narrow_columns(b: int, n: int, gamma: int) -> np.ndarray:

@@ -118,7 +118,7 @@ def check_alignment(ps: PrecoderSet, t_set: dict) -> dict:
     sides = []
     for o, wide in ps.wide.items():
         i = ps.plan.side(o)[0]
-        sides.append((wide, t_set[i][:, :, None] * ps.narrow[o]))
+        sides.append((wide, [t[:, None] * ps.narrow[o] for t in t_set[i]]))
     span_ok, subset_ok = numerics.aligned_within(sides)
     return {"alignment_ok": span_ok, "column_subset_ok": subset_ok,
             "checked": sum(len(moved) for _, moved in sides)}
