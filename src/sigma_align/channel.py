@@ -120,18 +120,30 @@ def _series(draw: ChannelDraw, path):
     raise UnknownPath(f"no channel path {path!r}")
 
 
-def apply(draw: ChannelDraw, path, v: np.ndarray) -> np.ndarray:
+def apply(draw: ChannelDraw, path, v: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """H_tilde @ v for one user's time-expanded channel, built slot by slot.
 
     H_tilde is (n_ant * mu_n) x mu_n and carries the slot-t channel vector
     in row block t of column t, so row t * n_ant + a of the product is
     h[a, t] * v[t, :].  Paths are ("a", j), ("b", i, j), ("c", j), 1-based.
+    With ``out``, an (n_ant * mu_n, v.shape[1]) array or view (such as a
+    column slice of a larger matrix), the product is written there and
+    ``out`` is returned.
     """
     h = _series(draw, path)
     n_ant, mu_n = h.shape
     if v.shape[0] != mu_n:
         raise DimensionMismatch(f"{mu_n} slots vs {v.shape[0]} rows")
-    return (h.T[:, :, None] * v[:, None, :]).reshape(n_ant * mu_n, v.shape[1])
+    shape = (n_ant * mu_n, v.shape[1])
+    if out is None:
+        return (h.T[:, :, None] * v[:, None, :]).reshape(shape)
+    if out.shape != shape:
+        raise DimensionMismatch(f"out is {out.shape}, product is {shape}")
+    # splitting the row axis into (slot, antenna) is always a view
+    np.multiply(h.T[:, :, None], v[:, None, :],
+                out=out.reshape(mu_n, n_ant, v.shape[1]))
+    return out
 
 
 def stack(draw: ChannelDraw, i: int, s_set) -> np.ndarray:

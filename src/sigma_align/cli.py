@@ -47,7 +47,8 @@ def load_config(path: str, args) -> dict:
 
     A field outside ``CONFIG_FIELDS`` is an error: a misspelt or removed
     field would otherwise change the run without a word.  So is a
-    non-integer value of an integer field, which ``int`` would truncate.
+    non-integer value of an integer field, which ``int`` would truncate,
+    and a JSON float DoF entry, which is not the rational it spells.
     """
     try:
         with open(path) as f:
@@ -70,11 +71,9 @@ def load_config(path: str, args) -> dict:
             if key in raw:
                 _json_int(key, raw[key])
         dd = raw.get("d", {})
-        d = DofPoint(
-            tuple(_parse_fraction(x) for x in dd.get("da", [])),
-            tuple(_parse_fraction(x) for x in dd.get("db1", [])),
-            tuple(_parse_fraction(x) for x in dd.get("db2", [])),
-            tuple(_parse_fraction(x) for x in dd.get("dc", [])))
+        d = DofPoint(*(tuple(_json_dof(f"d.{k}[{idx}]", x)
+                             for idx, x in enumerate(dd.get(k, [])))
+                       for k in ("da", "db1", "db2", "dc")))
         n = _flag_or(args, "n", raw.get("n", 1))
         rc = {
             "cfg": cfg,
@@ -106,6 +105,16 @@ def _json_int(name, value) -> int:
         raise ParseError(f"config field {name!r} must be an integer, "
                          f"got {value!r}")
     return value
+
+
+def _json_dof(name, value) -> Fraction:
+    """A DoF entry given as a "p/q" or decimal string or a JSON integer.
+    A JSON float is refused: ``Fraction`` would take its binary value,
+    so 0.1 would become 3602879701896397/36028797018963968."""
+    if isinstance(value, (bool, float)):
+        raise ParseError(f"config field {name!r} must be an integer or a "
+                         f"rational string such as \"1/3\", got {value!r}")
+    return _parse_fraction(value)
 
 
 def _flag_or(args, name, fallback):

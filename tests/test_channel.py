@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sigma_align import numerics
 from sigma_align.channel import apply, compute_t, draw, stack
-from sigma_align.errors import SingularStack, SlotCapExceeded, UnknownPath
+from sigma_align.errors import (DimensionMismatch, SingularStack,
+                                SlotCapExceeded, UnknownPath)
 from sigma_align.region import SigmaConfig
 
 
@@ -128,6 +129,27 @@ def test_apply_matches_dense_block_diagonal(n_ant, mu_n, ncols, mode, seed):
     assert out.shape == (n_ant * mu_n, ncols)
     assert out.dtype == ref.dtype
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "modp"])
+@pytest.mark.parametrize("cfg, mu_n", [(SigmaConfig(1, 1, 0, 2, 0), 12),
+                                       (SigmaConfig(2, 2, 0, 3, 0), 96)],
+                         ids=["s1-n1", "big-n1"])
+def test_apply_out_holds_the_returned_product(cfg, mu_n, mode):
+    # written into a column slice of a wider array, entry for entry (float
+    # bit for bit) the product apply returns, and nothing outside the slice
+    d = draw(cfg, mu_n, seed=31, mode=mode)
+    v = in_mode(mode, np.random.default_rng(0).integers(-3, 4, (mu_n, 3)))
+    for path in [("b", i, j) for i in (1, 2) for j in range(1, cfg.lb + 1)]:
+        product = apply(d, path, v)
+        wide = in_mode(mode, np.full((product.shape[0], 5), 7))
+        view = wide[:, 1:4]
+        assert apply(d, path, v, out=view) is view
+        assert _bits(view) == _bits(product)
+        assert _bits(wide[:, [0, 4]]) == _bits(
+            in_mode(mode, np.full((product.shape[0], 2), 7)))
+        with pytest.raises(DimensionMismatch):
+            apply(d, path, v, out=wide[:, :2])
 
 
 def test_stack_rank(s1_cfg):

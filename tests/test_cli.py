@@ -215,6 +215,27 @@ def test_region_check_bad_rational(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["region", "check"], ["ia", "run"]])
+def test_float_dof_entry_is_an_error_line(tmp_path, argv):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(
+        {**S1_CONFIG, "d": {"db1": ["1/3", 0.1], "db2": ["1/3", "1/3"]}}))
+    proc = run_cli_process([*argv, "--config", str(p)])
+    assert_error_line(proc)
+    assert "'d.db1[1]'" in proc.stderr and "0.1" in proc.stderr
+
+
+def test_dof_entries_as_strings_and_integers(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(
+        {**S1_CONFIG, "d": {"db1": ["0.1", 0], "db2": ["1/3", "1/3"]}}))
+    code, out = run_cli(["region", "check", "--config", str(p)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["feasible"] and doc["mu0"] == 30
+    assert doc["config"]["d"]["db1"] == ["1/10", "0/1"]
+
+
 def test_region_maxsum(s1_config_file, capsys):
     code, out = run_cli(["region", "max-sum", "--config", s1_config_file],
                         capsys)

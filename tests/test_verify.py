@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigma_align import channel, numerics, precoder
+from sigma_align import channel, numerics, precoder, verify
 from sigma_align.errors import (InfeasiblePoint, InvalidGenerator,
                                  SigmaAlignError)
 from sigma_align.region import DofPoint, SigmaConfig
@@ -317,6 +318,21 @@ def test_run_certified_falls_back_to_exact(s1_cfg, s1_point):
     assert r.mode == "modp"
 
 
+def test_run_certified_decides_a_raising_float_run_in_modp(
+        s1_cfg, s1_point, monkeypatch):
+    # at large n the float monomials overflow and the SVD does not converge
+    real = verify.run_experiment
+
+    def run(cfg, d, n, seed, mode="float"):
+        if mode == "float":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(cfg, d, n, seed, mode)
+
+    monkeypatch.setattr(verify, "run_experiment", run)
+    r = run_certified(s1_cfg, s1_point, 1, 0)
+    assert r.passed and r.mode == "modp"
+
+
 def test_run_certified_past_the_rational_slot_cap(s1_cfg, s1_point):
     # mu_n = 108 > 97: float reports 44/85, rational cannot draw it
     assert not run_experiment(s1_cfg, s1_point, 5, 31, "float").passed
@@ -452,6 +468,60 @@ def test_golden_file_holds_exactly_the_runs():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert sorted(golden) == sorted(_golden_id(nm, n, s, m)
                                     for nm, _, n, s, m in GOLDEN_RUNS)
+
+
+def _bits(m):
+    body = m.tolist() if m.dtype == object else m.tobytes()
+    return type(m), m.dtype, m.shape, body
+
+
+def _joined_lambda(i, dr, ps, pl):
+    """Λ_i as np.hstack of the products channel.apply returns."""
+    cfg = pl.cfg
+    group, count = ("a", cfg.la) if i == 1 else ("c", cfg.lc)
+    terms = [((group, j), ps.v[f"{group}{j}"]) for j in range(1, count + 1)]
+    terms += [(("b", i, j), ps.v[f"b{i}_{j}"]) for j in range(1, cfg.lb + 1)]
+    o = next(o for o in (1, 2) if pl.side(o)[0] == i)
+    if o in ps.wide:
+        beta = pl.beta(o)
+        terms += [(("b", i, j), ps.q[f"b{o}_{j}"]) for j in beta[:-1]]
+        terms += [(("b", i, j), ps.wide[o]) for j in beta]
+    else:
+        terms += [(("b", i, j), ps.v[f"b{o}_{j}"])
+                  for j in range(1, cfg.lb + 1)]
+    return np.hstack([channel.apply(dr, path, m) for path, m in terms])
+
+
+@pytest.mark.parametrize("mode", ["float", "modp", "rational"])
+@pytest.mark.parametrize("point", [S1_P, BIG_P, GROUPED],
+                         ids=["s1", "big", "grouped"])
+def test_lambda_is_one_array_of_the_joined_products(point, mode):
+    # entry for entry (float bit for bit) the joined products, in the
+    # draw's array type, with the three blocks as views of it
+    pl, dr, _, ps = construction(*point, 1, 31, mode)
+    for i in (1, 2):
+        parts = build_lambda(i, dr, ps, pl)
+        assert _bits(parts.assembled) == _bits(_joined_lambda(i, dr, ps, pl))
+        assert type(parts.assembled) is type(dr.h_b1)
+        blocks = (parts.a_block, parts.b_block, parts.c_block)
+        assert _bits(np.hstack(blocks)) == _bits(parts.assembled)
+        for block in blocks:
+            assert block.size == 0 or np.shares_memory(block,
+                                                       parts.assembled)
+
+
+def test_lambda_allocates_one_matrix(big_cfg, big_point):
+    # BIG n=2 float, Λ 972x160: the products are written into Λ, so the
+    # peak stays near one Λ; joining copies of them peaked at 2.55 Λ
+    pl, dr, _, ps = construction(big_cfg, big_point, 2, 31)
+    tracemalloc.start()
+    try:
+        parts = build_lambda(1, dr, ps, pl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parts.assembled.shape == (972, 160)
+    assert peak < 1.5 * parts.assembled.nbytes
 
 
 if __name__ == "__main__":
