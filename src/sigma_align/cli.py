@@ -124,13 +124,17 @@ def _flag_or(args, name, fallback):
 
 
 def _resolve_seed(seed) -> int:
-    """The given seed, else SIGMA_ALIGN_SEED, else 0."""
+    """The given seed, else SIGMA_ALIGN_SEED, else 0.  numpy's generators
+    take no negative seed, so a negative one is an error here."""
     if seed is None:
         seed = os.environ.get("SIGMA_ALIGN_SEED", 0)
     try:
-        return int(seed)
+        value = int(seed)
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad seed {seed!r}") from e
+    if value < 0:
+        raise ParseError(f"seed must be nonnegative, got {seed!r}")
+    return value
 
 
 def resolved_config_doc(rc: dict) -> dict:

@@ -38,6 +38,11 @@ class InconsistentPlan(SigmaAlignError):
     pass
 
 
+class FloatOverflow(SigmaAlignError):
+    """Float monomials left float64's range: a structured matrix holds inf
+    or nan, so no float verdict can follow."""
+
+
 class RankDeficientRandom(SigmaAlignError):
     """A random beamformer stayed rank deficient after one retry."""
 

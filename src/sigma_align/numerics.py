@@ -5,17 +5,22 @@ means rational mode, with ``fractions.Fraction`` entries; a ``ModP`` array
 holds int64 residues modulo the prime P, and means modp mode.  The
 channel draw picks the array type, and the rest of the package computes
 with numpy expressions that work on each; this module is the one place
-that branches on it (``rank``, ``columns_subset_of`` and
-``aligned_within``), and the only one that holds float thresholds.  A
-float rank is an SVD after one max-norm row and column pass, unless a
-Cholesky factorization of the shifted Gram matrix first proves that the
-SVD would count every singular value (``_certified_full``).  In exact
+that branches on it (``rank``, ``columns_subset_of``, ``aligned_within``,
+``_slotwise_rank`` and ``_finite``), and the only one that holds float
+thresholds.  A float rank is an SVD after one max-norm row and column
+pass, unless a Cholesky factorization of the shifted Gram matrix first
+proves that the SVD would count every singular value
+(``_certified_full``).  In exact
 modes a literal column match is a span proof, so ``aligned_within``
 ranks only what the match leaves open.  In float mode the match pairs
 each moved column with a wide one, and ``_certified_span`` proves from
 that pairing and a Cholesky of the wide block that the SVD would give
 the joined alignment matrix, rank-deficient by design, the wide
-matrix's full rank; what it does not prove goes to the SVD.  A stack of
+matrix's full rank; what it does not prove goes to the SVD.  A large
+float slot-wise product, the signal-plus-interference matrix, is proved
+full from its factors (``_slotwise_rank``, ``_certified_slotwise``): its
+Gram matrix is a sum over slots, formed without the matrix, which is
+assembled only for the SVD when the proof fails.  A stack of
 blocks along a leading axis stands for the block-diagonal matrix they
 form.  ``solve_blocks`` eliminates all of its blocks at once, and is the
 one place that decides whether such a stack is singular; ``rank`` ranks
@@ -177,6 +182,11 @@ def is_exact(m: np.ndarray) -> bool:
     return m.dtype == object or isinstance(m, ModP)
 
 
+def _finite(m: np.ndarray) -> bool:
+    """Whether every entry is finite; exact entries always are."""
+    return is_exact(m) or bool(np.isfinite(m).all())
+
+
 def exact_matrix(rows) -> np.ndarray:
     """Build an exact-mode matrix from nested sequences of rationals."""
     data = [[Fraction(x) for x in row] for row in rows]
@@ -301,24 +311,35 @@ def _svd_gate(rows: int, cols: int) -> bool:
     return rows * cols * k * _U <= REL_RANK_TOL * big / 4
 
 
-def _gram_clears(g: np.ndarray, first: int, big: int, n_blocks: int) -> bool:
+def _gram_clears(g: np.ndarray, first: int, big: int, n_blocks: int,
+                 terms: int | None = None, spread: float = 0.0) -> bool:
     """Steps 1-3 of ``_certified_full`` on a computed Gram stack ``g``.
 
     The norm bound N, and so tau, come from all of ``g``; the shifted
     Cholesky runs on its trailing block from index ``first``, and
     succeeds only if that block's smallest eigenvalue is at least tau^2.
-    ``big`` is the L of the matrix ``g`` came from.  Shifts ``g`` in place.
+    ``big`` is the L of the matrix ``g`` came from.  ``terms`` is the n of
+    the gamma_n that bounds the rounding of ``g`` (step 1; L by default).
+    A nonzero ``spread`` certifies a matrix E' with
+    ||E' - E||_2 <= spread * ||E||_F instead of E itself: by Weyl's
+    inequality its singular values are those of E moved by at most
+    w = spread * sqrt(T), so w is added to the bound on s_max in tau, and
+    the Cholesky must prove s_min(E) >= tau + w
+    (``_certified_slotwise``).  Shifts ``g`` in place.
     """
     c = g.shape[-1]
     k = c - first
+    terms = big if terms is None else terms
     t = 1.01 * np.diagonal(g, 0, -2, -1).sum(axis=-1).max()
     if not np.isfinite(t):
         return False
-    gamma = big * _U / (1 - big * _U)
+    gamma = terms * _U / (1 - terms * _U)
     norm = np.abs(g).sum(axis=-1).max() + c * gamma * t
-    tau = 2 * 1.01 * REL_RANK_TOL * n_blocks * big * math.sqrt(norm)
+    weyl = spread * math.sqrt(t)
+    tau = 2 * 1.01 * REL_RANK_TOL * n_blocks * big * (math.sqrt(norm) + weyl)
     diag = np.arange(first, c)
-    g[..., diag, diag] -= 1.01 * tau ** 2 + 2 * (big + k + 2) * _U * t
+    g[..., diag, diag] -= (1.01 * (tau + weyl) ** 2
+                           + 2 * (terms + k + 2) * _U * t)
     try:
         np.linalg.cholesky(g[..., first:, first:])
     except np.linalg.LinAlgError:
@@ -483,6 +504,150 @@ def _certified_span(joined: np.ndarray, col_map: np.ndarray) -> bool:
     if not 1.01 * math.sqrt(np.vdot(r, r)) <= REL_RANK_TOL * big / 4:
         return False
     return _gram_clears(e.T @ e, m, big, 1)
+
+
+# ``_slotwise_rank`` certifies a float product from its factors from this
+# size up, rows * cols * min(rows, cols); smaller ones are assembled and
+# ranked.  On a 2-core x86-64 machine (numpy 2.4, OpenBLAS 0.3.31, 2
+# threads, best of 5), assembling and ranking took 0.19 ms and the factor
+# proof 0.29 ms for a 192x17 Lambda (size 5.5e4); 1.1 ms against 0.57 ms
+# at 768x49 (1.8e6), and 3.8 ms against 1.3 ms at 972x160 (2.5e7).
+_SLOTWISE_FROM = 2 ** 20
+
+
+def _slotwise_rank(factors, assemble) -> int:
+    """``rank(assemble())`` for a slot-wise product given by its factors.
+
+    ``factors`` lists the column blocks (h, x) of the matrix in order: h
+    is (n_ant, mu_n), x is (mu_n, k), and the block's entry in row
+    t * n_ant + a, column j is h[a, t] * x[t, j] (``channel.apply``).
+    ``assemble`` returns the matrix itself, and is called only when it is
+    needed: for exact factors, below ``_SLOTWISE_FROM``, and when
+    ``_certified_slotwise`` does not prove full column rank.  Then that
+    proof has failed on a matrix that ``_certified_full`` would most
+    likely not certify either, so the matrix goes to the SVD at once.
+    """
+    h0 = factors[0][0]
+    rows = h0.shape[0] * h0.shape[1]
+    cols = sum(x.shape[1] for _, x in factors)
+    if is_exact(h0) or rows * cols * min(rows, cols) < _SLOTWISE_FROM:
+        return rank(assemble())
+    if _certified_slotwise(factors):
+        return cols
+    return rank(_counted(assemble()))
+
+
+def _certified_slotwise(factors) -> bool:
+    """True only if ``rank``'s SVD would count every column of the
+    slot-wise product M of ``factors`` (``_slotwise_rank``), which is
+    never formed.
+
+    Notation as in ``_certified_full`` with n_blocks = 1: M is r x c,
+    r = n_ant * mu_n, L = max(r, c), column block p of M is (h_p, x_p),
+    and E is the equilibrated M that ``rank`` would form,
+    E_ij = fl(fl(fl(M_ij) / rs_i) / cs_j).  False means "not proved".
+
+    1. Row maxima.  |fl(h x)| = fl(|h| |x|) and rounding is monotone, so
+       rs[a, t] = max_p fl(|h_p[a, t]| * max_j |x_p[t, j]|) is fl(M)'s row
+       maximum bit for bit, and E's row scale (1 where 0).  Non-finite
+       factors or rs: not proved.
+    2. Column maxima.  With q_p = fl(h_p / rs) and g_p[t] = max_a
+       |q_p[a, t]|, s_j = max_t fl(g_p[t] |x_p[t, j]|) (1 where 0) for
+       column j of block p.  Both s_j and E's cs_j are the exact maximum
+       c_j of |M_ij| / rs_i over i, times two factors (1 +- u) each.
+    3. Weyl term.  Let F_ij = M_ij / (rs_i s_j) exactly.  E_ij carries
+       three roundings of M_ij / (rs_i cs_j), so E_ij = F_ij (1 + e_ij),
+       |e_ij| <= (1 + u)^5 / (1 - u)^2 - 1 < 8u, and
+       ||E - F||_2 <= ||E - F||_F <= 8u ||F||_F <= 8u sqrt(T) =: w.  By
+       Weyl's inequality each singular value of E is within w of the
+       same one of F.
+    4. Gram matrix.  G = F^T F has block (p, q) equal to
+       x_p^T diag(v_pq) x_q / (s s^T), v_pq[t] = sum_a h_p h_q / rs^2,
+       formed from q_p and q_q, one product per pair of blocks: half the
+       products of E^T E.  Every term carries at most K = mu_n + n_ant + 5
+       roundings (one in each q, one per product, n_ant - 1 sums in v, one
+       product with x_q, the dot product over mu_n slots, two divisions),
+       so |G^ - G| <= gamma_K |F|^T |F| entrywise, step 1 of
+       ``_certified_full`` with K in place of L.  ``_gram_clears`` with
+       spread 8u then bounds s_max(F)^2 by N, sets
+       tau = 2 * 1.01 * REL_RANK_TOL * L * (sqrt(N) + w), at least twice
+       any cutoff computed from s_max(E) <= s_max(F) + w, and its shifted
+       Cholesky proves s_min(F) >= tau + w, so s_min(E) >= tau.
+    5. Range.  Steps 2-4 take every rounding as relative.  The test
+       requires l = |h|_min * min(1, |x|_min) * min(1, 1 / rs_max)
+       >= 2**-1000 (nonzero minima), a lower bound on every nonzero
+       fl(M_ij), fl(M_ij) / rs_i, E_ij (cs <= 1), q and g_p |x_p|, so
+       these are normal and zeros stay exact zeros.  It requires
+       g <= 2**500, so nothing overflows: |v_pq| <= n_ant g^2, and
+       |q_q x_q| <= 1 and |q_p x_p| <= 1 bound |v_pq x_q| by n_ant g and
+       each Gram product by n_ant.  And it requires
+       min(1, g_min) * s_min >= 2**-450 (nonzero g).  A product in v or
+       in the Gram sums may still underflow, by at most 2**-1074, and
+       meets at most the factors |x_p| <= 1 / g_p and |x_q| <= 1 / g_q (at
+       a slot where g_p = 0, v_pq = 0 exactly) and the division by
+       s_j s_l.  That adds at most mu_n * (n_ant + 2) * 2**-1074 * 2**900
+       to an entry, which vanishes against tau^2 >= 4e-18 (F has an entry
+       of about 1, so N >= 1).
+    6. Step 4 of ``_certified_full``, with the SVD gate on (r, c), makes
+       the SVD of E count every singular value.
+    """
+    factors = [(h, x) for h, x in factors if x.shape[1]]
+    h = np.stack([hp for hp, _ in factors])          # (P, n_ant, mu_n)
+    _, n_ant, mu_n = h.shape
+    rows, cols = n_ant * mu_n, sum(x.shape[1] for _, x in factors)
+    if not _svd_gate(rows, cols):
+        return False
+    with np.errstate(all="ignore"):   # non-finite or extreme input: False
+        gram = _slotwise_gram(factors, h, cols)
+    return gram is not None and _gram_clears(
+        gram, 0, max(rows, cols), 1, terms=mu_n + n_ant + 5, spread=8 * _U)
+
+
+def _slotwise_gram(factors, h, cols) -> np.ndarray | None:
+    """Steps 1, 2, 4 and 5 of ``_certified_slotwise``: the computed Gram
+    matrix of F, or None where the range test fails.  Every temporary the
+    size of a block goes through one scratch block."""
+    widths = [x.shape[1] for _, x in factors]
+    scratch = np.empty((h.shape[2], max(widths)), order="F")
+    stats = {}   # row maxima and least nonzero |x| of each distinct matrix
+    for _, x in factors:
+        if id(x) not in stats:
+            mag = np.abs(x, out=scratch[:, :x.shape[1]])
+            stats[id(x)] = (mag.max(axis=1),
+                            mag.min(initial=np.inf, where=mag > 0.0))
+    mag_h = np.abs(h)
+    rs = (mag_h * np.stack([stats[id(x)][0] for _, x in factors])
+          [:, None, :]).max(axis=0)
+    if not (np.isfinite(h).all() and np.isfinite(rs).all()):
+        return None
+    rs[rs == 0.0] = 1.0
+    q = h / rs
+    g = np.abs(q).max(axis=1)                        # (P, mu_n)
+    bounds = np.cumsum([0] + widths)
+    s = np.empty(cols)
+    for p, (_, x) in enumerate(factors):
+        gx = np.multiply(x, g[p][:, None], out=scratch[:, :x.shape[1]])
+        s[bounds[p]:bounds[p + 1]] = np.abs(gx, out=gx).max(axis=0)
+    s[s == 0.0] = 1.0
+    x_lo = min(lo for _, lo in stats.values())
+    if not (mag_h.min(initial=np.inf, where=mag_h > 0.0) * min(1.0, x_lo)
+            * min(1.0, 1.0 / rs.max()) >= 2.0 ** -1000
+            and g.max() <= 2.0 ** 500
+            and min(1.0, g.min(initial=np.inf, where=g > 0.0)) * s.min()
+            >= 2.0 ** -450):
+        return None
+    v = (q[:, None] * q[None, :]).sum(axis=2)        # (P, P, mu_n)
+    gram = np.empty((cols, cols))
+    for p, (_, x) in enumerate(factors):
+        lo, hi = bounds[p], bounds[p + 1]
+        for r in range(p, len(factors)):
+            xv = np.multiply(factors[r][1], v[p, r, :, None],
+                             out=scratch[:, :widths[r]])
+            gram[lo:hi, bounds[r]:bounds[r + 1]] = x.T @ xv
+        gram[hi:, lo:hi] = gram[lo:hi, hi:].T
+    gram /= s
+    gram /= s[:, None]
+    return gram
 
 
 def _integer_rows(m: np.ndarray) -> list[list[int]]:

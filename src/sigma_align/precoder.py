@@ -22,7 +22,8 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import numerics, region
-from .errors import (InconsistentPlan, InfeasiblePoint, RankDeficientRandom)
+from .errors import (FloatOverflow, InconsistentPlan, InfeasiblePoint,
+                     RankDeficientRandom)
 from .region import DofPoint, SigmaConfig
 
 
@@ -157,15 +158,21 @@ def build_p(t_diags: np.ndarray, b: int, n: int) -> np.ndarray:
     tables' blocks m, multiplied in (l, j) order.  Columns run
     lexicographically over (m, alpha), the first pair's exponent outermost.
     The matrix is returned column-major, the layout on which the alignment
-    check's column matching and stacking run fastest.
+    check's column matching and stacking run fastest.  Float powers that
+    leave float64's range raise FloatOverflow, which names n and mu_n.
     """
     mu_n = t_diags.shape[1]
-    tables = [(t[:, None] ** np.arange(1, b * (n + 1) + 1)).reshape(
-        mu_n, b, n + 1) for t in t_diags]
-    out = tables[0]
-    for table in tables[1:]:
-        out = (out[..., :, None] * table[..., None, :]).reshape(
-            mu_n, b, out.shape[-1] * (n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [(t[:, None] ** np.arange(1, b * (n + 1) + 1)).reshape(
+            mu_n, b, n + 1) for t in t_diags]
+        out = tables[0]
+        for table in tables[1:]:
+            out = (out[..., :, None] * table[..., None, :]).reshape(
+                mu_n, b, out.shape[-1] * (n + 1))
+    if not numerics._finite(out):
+        raise FloatOverflow(
+            f"float monomials overflow at n = {n}, mu_n = {mu_n}: the "
+            f"structured matrix holds inf or nan")
     return out.reshape(mu_n, -1).copy(order="F")
 
 

@@ -10,27 +10,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import channel as channel_mod
 from . import numerics, precoder
-from .errors import (InvalidGenerator, RetriesExhausted, SigmaAlignError,
-                     SingularStack, TallnessViolated)
+from .errors import (FloatOverflow, InvalidGenerator, RetriesExhausted,
+                     SigmaAlignError, SingularStack, TallnessViolated)
 from .precoder import AlignmentPlan, PrecoderSet
 from .region import DofPoint, SigmaConfig
 
 
 @dataclass
 class LambdaParts:
-    """The stacked signal-plus-interference matrix at one BS, and its
-    signal, shared-signal and interference column blocks as views of it."""
+    """The stacked signal-plus-interference matrix at one BS, as its
+    column blocks: ``terms`` lists (channel path, matrix) pairs, each the
+    block ``channel.apply(draw, path, matrix)``, in column order, ``ka``
+    and ``kb`` end the signal and shared-signal blocks, and ``shape`` is
+    the matrix's.
+
+    ``assembled``, the matrix, is built on first access and then kept;
+    ``a_block``, ``b_block`` and ``c_block`` are views of it.
+    """
 
     i: int
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
-    assembled: np.ndarray
+    draw: channel_mod.ChannelDraw
+    terms: list
+    ka: int
+    kb: int
+    shape: tuple[int, int]
+
+    @cached_property
+    def assembled(self) -> np.ndarray:
+        out = np.empty_like(self.draw.h_a, shape=self.shape)
+        start = 0
+        for path, m in self.terms:
+            stop = start + m.shape[1]
+            channel_mod.apply(self.draw, path, m, out=out[:, start:stop])
+            start = stop
+        return out
+
+    @property
+    def a_block(self) -> np.ndarray:
+        return self.assembled[:, :self.ka]
+
+    @property
+    def b_block(self) -> np.ndarray:
+        return self.assembled[:, self.ka:self.kb]
+
+    @property
+    def c_block(self) -> np.ndarray:
+        return self.assembled[:, self.kb:]
 
 
 @dataclass(slots=True)
@@ -150,9 +181,11 @@ def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
     cross-message columns.  The cross messages are those of side o, the
     side that ``AlignmentPlan.side`` pairs with BS i.
 
-    The matrix is allocated once, in the draw's dtype, and each product
-    is written straight into its column slice; the three blocks are views
-    of it.
+    Nothing is multiplied here: the parts record each block's path and
+    matrix, and the matrix is assembled only when ``assembled`` is first
+    read.  It is then allocated once, in the draw's dtype, and each
+    product is written straight into its column slice; the three blocks
+    are views of it.
     """
     cfg = pl.cfg
     n_i, own_group, own_count = ((cfg.n1, "a", cfg.la) if i == 1
@@ -176,21 +209,25 @@ def build_lambda(i: int, draw: channel_mod.ChannelDraw, ps: PrecoderSet,
     cols = kb + sum(m.shape[1] for _, m in cross)
     if cols > nrows:
         raise TallnessViolated(f"BS {i}: {cols} columns > {nrows} rows")
-    assembled = np.empty_like(draw.h_a, shape=(nrows, cols))
-    start = 0
-    for path, m in own + bsig + cross:
-        stop = start + m.shape[1]
-        channel_mod.apply(draw, path, m, out=assembled[:, start:stop])
-        start = stop
-    return LambdaParts(i=i, a_block=assembled[:, :ka],
-                       b_block=assembled[:, ka:kb],
-                       c_block=assembled[:, kb:], assembled=assembled)
+    return LambdaParts(i=i, draw=draw, terms=own + bsig + cross, ka=ka,
+                       kb=kb, shape=(nrows, cols))
 
 
 def check_lambda(parts: LambdaParts) -> dict:
-    rows, cols = parts.assembled.shape
-    return _lambda_dict(rows, cols,
-                        numerics.rank(parts.assembled) if cols else 0)
+    """Rows, columns and rank of Λ, and whether the rank is full.
+
+    The rank is ``numerics.rank`` of the assembled matrix.  A large float
+    Λ is first certified from its blocks' channel series and matrices
+    (``numerics._slotwise_rank``), and is assembled only if that proof
+    fails, for the SVD.
+    """
+    rows, cols = parts.shape
+    if not cols:
+        return _lambda_dict(rows, cols, 0)
+    factors = [(channel_mod._series(parts.draw, path), m)
+               for path, m in parts.terms]
+    return _lambda_dict(rows, cols, numerics._slotwise_rank(
+        factors, lambda: parts.assembled))
 
 
 def _lambda_dict(rows: int, cols: int, rank: int) -> dict:
@@ -274,13 +311,13 @@ def run_certified(cfg: SigmaConfig, d: DofPoint, n: int,
     and BIG up to n = 2; README, "Numeric modes"), or P divides every
     coefficient of those minors.  So a modp fail is evidence, not proof.
 
-    A float run that raises ``numpy.linalg.LinAlgError`` counts as a float
-    fail: at large n the monomial entries overflow to inf and the float
-    SVD does not converge, and the modp rerun decides.
+    A float run that raises ``FloatOverflow`` (at large n the float
+    monomials leave float64's range) or ``numpy.linalg.LinAlgError``
+    counts as a float fail, and the modp rerun decides.
     """
     try:
         report = run_experiment(cfg, d, n, seed, "float")
-    except np.linalg.LinAlgError:
+    except (FloatOverflow, np.linalg.LinAlgError):
         pass
     else:
         if report.passed:

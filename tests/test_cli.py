@@ -155,6 +155,43 @@ def test_bad_seed_env_is_an_error_line(tmp_path, argv):
     assert "abc" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, fields, env", [
+    (["ia", "run", "--config", "CONFIG", "--seed", "-5"], {}, {}),
+    (["ia", "run", "--config", "CONFIG"], {"seed": -3}, {}),
+    (["ia", "run", "--config", "CONFIG"], {"seed": None},
+     {"SIGMA_ALIGN_SEED": "-1"}),
+    (["ia", "sweep", "--config", "CONFIG", "--seed", "-5"], {}, {}),
+    (["ia", "sweep", "--config", "CONFIG"], {"seed": -3}, {}),
+    (["ia", "sweep", "--config", "CONFIG"], {"seed": None},
+     {"SIGMA_ALIGN_SEED": "-1"}),
+    (["lemma1", "--m", "2", "--trials", "1", "--seed", "-5"], {}, {}),
+    (["lemma1", "--m", "2", "--trials", "1"], {},
+     {"SIGMA_ALIGN_SEED": "-1"}),
+], ids=["run-flag", "run-config", "run-env", "sweep-flag", "sweep-config",
+        "sweep-env", "lemma1-flag", "lemma1-env"])
+def test_negative_seed_is_an_error_line(tmp_path, argv, fields, env):
+    # numpy's generators refuse a negative seed with a ValueError
+    cfg = {k: v for k, v in {**S1_CONFIG, **fields}.items() if v is not None}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    proc = run_cli_process([str(p) if a == "CONFIG" else a for a in argv],
+                           **env)
+    assert_error_line(proc)
+    assert "seed must be nonnegative" in proc.stderr
+
+
+def test_float_overflow_is_an_error_line(tmp_path):
+    # S1 at n = 23: the float monomials overflow in the power table; the
+    # run stops there with one error line, no numpy warning, no traceback
+    p = tmp_path / "s1n23.json"
+    p.write_text(json.dumps(dict(S1_CONFIG, n=23, seed=31, trials=1)))
+    proc = run_cli_process(["ia", "run", "--config", str(p), "--mode",
+                            "float"])
+    assert_error_line(proc)
+    assert "n = 23, mu_n = 1728" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma1", "--m", "3", "--trials", "0"],
     ["ia", "sweep", "--config", "CONFIG", "--n", "3", "--n-max", "2"],

@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -710,3 +712,190 @@ def test_span_certificate_claims_only_what_the_svd_counts(case):
             and rows * cols * min(rows, cols) + 1024
             >= numerics._CERTIFY_FROM):
         assert certified
+
+
+def _slotwise(factors):
+    """The product that slot-wise factors stand for, formed as
+    ``channel.apply`` forms it: row t * n_ant + a of block (h, x) is
+    h[a, t] * x[t, :]."""
+    with np.errstate(all="ignore"):
+        return np.hstack([(h.T[:, :, None] * x[:, None, :]).reshape(
+            -1, x.shape[1]) for h, x in factors])
+
+
+@st.composite
+def slotwise_products(draw, finite=False):
+    """Column blocks (h, x) of a tall slot-wise product.
+
+    Half are random: n_ant 1 to 3, signed h of magnitude 1e-2 to 1e2, x
+    with column scales 1e-12 to 1e12, and at times a block repeated with
+    its h scaled (rank-deficient), zero rows, zero columns and, unless
+    finite, inf or nan entries.  The other half have n_ant = 1 and a
+    drawn spectrum: the product is U diag(s) V^T with s_min 0.1 to 1e3
+    times the nominal cutoff REL_RANK_TOL * rows (extra weight on 1 to
+    2.5), its rows and columns then scaled by up to 1e3 either way, and
+    1000 to 3000 rows but at most 12 columns, where tau rather than the
+    rounding allowance decides the certificate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spectrum = draw(st.booleans())
+    widths = draw(st.lists(st.integers(1, 3 if spectrum else 8), min_size=1,
+                           max_size=4))
+    repeat = not spectrum and len(widths) > 1 and draw(st.booleans())
+    if repeat:
+        widths[1] = widths[0]
+    cols = sum(widths)
+    n_ant = 1 if spectrum else draw(st.integers(1, 3))
+    mu_n = draw(st.integers(1000, 3000) if spectrum
+                else st.integers(-(-cols // n_ant), 48))
+    rows = n_ant * mu_n
+
+    def signed(shape, decades):
+        return (rng.choice([-1.0, 1.0], size=shape)
+                * 10.0 ** rng.uniform(-decades, decades, size=shape))
+
+    hs = [signed((n_ant, mu_n), 2) for _ in widths]
+    if spectrum:
+        ratio = draw(st.one_of(st.floats(-1, 3).map(lambda e: 10.0 ** e),
+                               st.floats(1.0, 2.5)))
+        s_min = ratio * numerics.REL_RANK_TOL * max(rows, cols)
+        s = np.sort(s_min ** rng.uniform(0, 1, size=cols))[::-1]
+        s[0], s[-1] = 1.0, min(s_min, 1.0)
+        u = np.linalg.qr(rng.normal(size=(mu_n, cols)))[0]
+        v = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+        m = (u * s) @ v.T * signed((mu_n, 1), 3) * signed(cols, 3)
+        xs = np.hsplit(m / hs[0].T, np.cumsum(widths)[:-1])
+        hs = [hs[0]] * len(widths)
+        return list(zip(hs, xs))
+    xs = [rng.normal(size=(mu_n, k)) * 10.0 ** rng.uniform(-12, 12, size=k)
+          for k in widths]
+    if repeat:
+        xs[1] = xs[0]                    # the same matrix on a scaled h
+        hs[1] = hs[0] * signed((), 2)
+    if draw(st.booleans()):
+        for h in hs:
+            h[rng.integers(n_ant), rng.integers(mu_n)] = 0.0
+    if draw(st.booleans()):
+        x = xs[rng.integers(len(xs))]
+        x[:, rng.integers(x.shape[1])] = 0.0
+    if not finite:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            a = (hs if draw(st.booleans()) else xs)[rng.integers(len(hs))]
+            a[tuple(int(rng.integers(n)) for n in a.shape)] = \
+                draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return list(zip(hs, xs))
+
+
+@given(slotwise_products())
+@settings(max_examples=400, deadline=None)
+def test_slotwise_certificate_claims_only_what_the_svd_counts(factors):
+    m = _slotwise(factors)
+    rows, cols = m.shape
+    certified = numerics._certified_slotwise(factors)
+    if not np.isfinite(m).all():
+        assert not certified
+        return
+    e = numerics._equilibrated(m)
+    s = np.linalg.svd(e, compute_uv=False)
+    cutoff = numerics.REL_RANK_TOL * s.max() * max(rows, cols)
+    if certified:
+        assert _svd_count(e) == cols
+        assert s.min() >= 1.99 * cutoff     # tau is twice the cutoff
+    if s.max() > 0.0 and s.min() >= 500 * cutoff:
+        assert certified     # far above every allowance at these sizes
+
+
+@given(slotwise_products(finite=True))
+@settings(max_examples=300, deadline=None)
+def test_slotwise_gram_is_the_factor_form_within_its_rounding(factors):
+    # the computed Gram matrix against F^T F, with F = M / (rs s^T) formed
+    # in extended precision from the assembled M, its row maxima and the
+    # column scales s of the docstring; and the spread passed to
+    # _gram_clears against the entrywise distance of rank's E from F
+    m = _slotwise(factors)
+    rows, cols = m.shape
+    h = np.stack([hp for hp, _ in factors])
+    with mock.patch.object(numerics, "_gram_clears",
+                           wraps=numerics._gram_clears) as clears:
+        numerics._certified_slotwise(factors)
+    gram = numerics._slotwise_gram(factors, h, cols)
+    if gram is None:
+        assert not clears.called
+        return
+    rs = np.abs(m).max(axis=1)
+    rs[rs == 0.0] = 1.0
+    n_ant, mu_n = h.shape[1:]
+    g = np.abs(h / rs.reshape(mu_n, n_ant).T).max(axis=1)
+    s = np.concatenate([np.abs(gp[:, None] * x).max(axis=0)
+                        for gp, (_, x) in zip(g, factors)])
+    s[s == 0.0] = 1.0
+    exact = np.hstack([(hp.T.astype(np.longdouble)[:, :, None]
+                        * x[:, None, :]).reshape(-1, x.shape[1])
+                       for hp, x in factors])
+    f = exact / rs[:, None] / s
+    terms, spread = (clears.call_args.kwargs[k] for k in ("terms", "spread"))
+    gamma = terms * 2.0 ** -53 / (1 - terms * 2.0 ** -53)
+    mag = np.abs(f)
+    slack = (gamma + rows * 2.0 ** -62) * (mag.T @ mag) + 1e-280
+    assert np.all(np.abs(gram - f.T @ f) <= slack)
+    e = numerics._equilibrated(m)
+    assert np.array_equal(e == 0.0, f == 0.0)
+    nonzero = f != 0.0
+    assert np.all(np.abs(e[nonzero] / f[nonzero] - 1) <= spread)
+
+
+@st.composite
+def spread_cases(draw):
+    """(f, sigma, e): a tall f = U diag(s) V^T with s falling from 1 to
+    1e-3 .. 1, and e, f with its first column scaled by 1 - sigma, so
+    ||e - f||_2 <= sigma ||f||_F."""
+    k = draw(st.integers(1, 8))
+    rows = draw(st.integers(k, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = np.sort(10.0 ** rng.uniform(-3, 0, size=k))[::-1]
+    s[0] = 1.0
+    u = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    f = (u * s) @ v.T
+    sigma = draw(st.one_of(st.sampled_from([1.0, 1.0 - 1e-12, 0.5]),
+                           st.floats(1e-6, 1.0)))
+    e = f.copy()
+    e[:, 0] *= 1.0 - sigma
+    return f, sigma, e
+
+
+@given(spread_cases())
+@settings(max_examples=300, deadline=None)
+def test_gram_clears_covers_every_matrix_within_its_spread(case):
+    # with spread sigma the proof holds for any matrix within
+    # sigma ||f||_F of f (Weyl), here f with one column scaled down
+    f, sigma, e = case
+    rows, cols = f.shape
+    if numerics._gram_clears(f.T @ f, 0, rows, 1, spread=sigma):
+        assert _svd_count(e) == cols
+
+
+def test_big_n2_float_never_holds_a_lambda_sized_array(monkeypatch):
+    # each Λ is 972x160 float, 1.24 MB; it used to be assembled, copied
+    # for equilibration and scanned through an |E| temporary, and is now
+    # certified from its factors: no stage of it allocates one Λ
+    from sigma_align import verify
+    from sigma_align.region import DofPoint, SigmaConfig
+    added = []
+    for name in ("build_lambda", "check_lambda"):
+        def tracked(*args, _f=getattr(verify, name)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = _f(*args)
+            added.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        monkeypatch.setattr(verify, name, tracked)
+    tracemalloc.start()
+    try:
+        r = verify.run_experiment(
+            SigmaConfig(2, 2, 0, 3, 0),
+            DofPoint.make(db1=["1/6"] * 3, db2=["1/6"] * 3), 2, 31, "float")
+    finally:
+        tracemalloc.stop()
+    assert r.passed and r.lambda1["rows"] * r.lambda1["cols"] == 972 * 160
+    assert len(added) == 4
+    assert max(added) < 972 * 160 * 8

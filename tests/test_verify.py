@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from sigma_align import channel, numerics, precoder, verify
-from sigma_align.errors import (InfeasiblePoint, InvalidGenerator,
-                                 SigmaAlignError)
+from sigma_align.errors import (FloatOverflow, InfeasiblePoint,
+                                 InvalidGenerator, SigmaAlignError)
 from sigma_align.region import DofPoint, SigmaConfig
 from sigma_align.verify import (achieved_dof, build_lambda, check_alignment,
                                 check_lambda, check_pairwise,
@@ -331,6 +332,29 @@ def test_run_certified_decides_a_raising_float_run_in_modp(
     monkeypatch.setattr(verify, "run_experiment", run)
     r = run_certified(s1_cfg, s1_point, 1, 0)
     assert r.passed and r.mode == "modp"
+
+
+def test_run_certified_decides_an_overflowing_float_run_in_modp(
+        s1_cfg, s1_point, monkeypatch):
+    real = verify.run_experiment
+
+    def run(cfg, d, n, seed, mode="float"):
+        if mode == "float":
+            raise FloatOverflow("float monomials overflow")
+        return real(cfg, d, n, seed, mode)
+
+    monkeypatch.setattr(verify, "run_experiment", run)
+    r = run_certified(s1_cfg, s1_point, 1, 0)
+    assert r.passed and r.mode == "modp"
+
+
+def test_float_overflow_is_a_typed_error(s1_cfg, s1_point):
+    # mu_n = 1728 at n = 23: the power table overflows, and the run stops
+    # there, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatOverflow, match=r"n = 23, mu_n = 1728"):
+            run_experiment(s1_cfg, s1_point, 23, 31, "float")
 
 
 def test_run_certified_past_the_rational_slot_cap(s1_cfg, s1_point):
